@@ -1,6 +1,9 @@
 """Lossless prefix compression of qubit strings and an always-open channel."""
 
-from .bruteforce import OracleResult, hmon_bruteforce, projections_bruteforce, rate_bruteforce
+from .bruteforce import (DensityFragment, OracleResult,
+                         distinguishable_by_prefix, hmon_bruteforce,
+                         prefix_free_bruteforce, projections_bruteforce,
+                         rate_bruteforce, reduced_prefix_state)
 from .channel import (BookResult, ChannelState, CodeBook, ComparisonReport,
                       NoiseModel, SimulationReport, compare_codes,
                       init_channel, protocol_step, run)
@@ -9,9 +12,8 @@ from .codec import (Ensemble, LengthAssignment, LosslessCode,
                     decode, encode, monotone_entropy, optimal_rate,
                     sequential_projections, shannon_entropy, tensor_ensemble)
 from .errors import ValidationError
-from .prefix import (DensityFragment, KraftChain, PrefixBasis, Witness,
-                     distinguishable_by_prefix, gram_schmidt, is_orthonormal,
-                     is_prefix_free, kraft_chain, reduced_prefix_state,
+from .prefix import (KraftChain, PrefixBasis, Witness, gram_schmidt,
+                     is_orthonormal, is_prefix_free, kraft_chain,
                      subspace_prefix_free)
 from .qstring import (EPS, BitString, QubitString, avg_length, base_length,
                       concat, inner, ket, zero_extended)
@@ -26,8 +28,8 @@ __all__ = [
     "distinguishable_by_prefix", "encode", "gram_schmidt",
     "hmon_bruteforce", "init_channel", "inner", "is_orthonormal",
     "is_prefix_free", "ket", "kraft_chain", "monotone_entropy",
-    "optimal_rate", "projections_bruteforce", "protocol_step",
-    "rate_bruteforce", "reduced_prefix_state", "run",
+    "optimal_rate", "prefix_free_bruteforce", "projections_bruteforce",
+    "protocol_step", "rate_bruteforce", "reduced_prefix_state", "run",
     "sequential_projections", "shannon_entropy", "subspace_prefix_free",
     "tensor_ensemble", "zero_extended",
 ]

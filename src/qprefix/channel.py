@@ -95,11 +95,15 @@ class CodeBook:
             if w in seen:
                 raise ValidationError("duplicate code word %r" % w.text)
             seen.add(w)
-        for a in self.words:
-            for b in self.words:
-                if a != b and a.is_prefix_of(b):
-                    raise ValidationError("book is not prefix-free: %r prefixes %r"
-                                          % (a.text, b.text))
+        # The words a word prefixes follow it directly in text order, so
+        # adjacent pairs decide; the full scan only names the first pair.
+        ordered = sorted(self.words, key=lambda w: w.text)
+        if any(a.is_prefix_of(b) for a, b in zip(ordered, ordered[1:])):
+            for a in self.words:
+                for b in self.words:
+                    if a != b and a.is_prefix_of(b):
+                        raise ValidationError("book is not prefix-free: %r prefixes %r"
+                                              % (a.text, b.text))
         if len(self.words) > 1 and any(w.length == 0 for w in self.words):
             raise ValidationError("the empty word is only allowed as the sole word")
 

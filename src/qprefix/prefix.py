@@ -1,4 +1,4 @@
-"""Prefix-freedom of qubit strings, the Kraft chain, and prefix distinguishability.
+"""Prefix-freedom of qubit strings and the Kraft chain.
 
 A set M of qubit strings is prefix-free when no element can be reached by
 appending a nonempty classical suffix to another: <phi | psi * s> = 0 for
@@ -13,9 +13,8 @@ hold, with the first two inequalities tight exactly when every e_i is a
 length eigenvector (single support length).  The third sum is the trace of
 2^(-Lambda) over the spanned subspace.
 
-Prefix-freedom of zero-padded registers can be read off reduced density
-operators: the code word phi, padded to l_max qubits and reduced to its
-first n qubits, must be orthogonal to every other word psi of length n.
+The dense reduced-state test of prefix distinguishability and the
+exhaustive suffix scan live in :mod:`qprefix.bruteforce` as oracles.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .qstring import (EPS, BitString, QubitString, avg_length, base_length,
-                      inner, zero_extended)
+                      inner)
 
-# Qubit count above which dense reduced density matrices are refused.
-MAX_FRAGMENT_QUBITS = 12
 # Residual norm below which a vector counts as linearly dependent.
 DEP_TOL = 1e-7
 
@@ -73,30 +70,47 @@ def is_orthonormal(vectors, eps: float = EPS) -> bool:
     return _orthonormality_defect(vectors) <= eps
 
 
+def _tails_by_head(phi: QubitString) -> dict:
+    """Map each proper prefix x of a support string x * s of ``phi`` to its tails s."""
+    out: dict[BitString, list] = {}
+    for y in phi.terms:
+        for k in range(y.length):
+            tail = y.length - k
+            out.setdefault(y.prefix(k), []).append(
+                BitString(tail, y.value & ((1 << tail) - 1)))
+    return out
+
+
 def is_prefix_free(vectors):
     """Decide prefix-freedom of a finite set; returns (flag, witness or None).
 
     Checks <phi | psi * s> = 0 for every ordered pair and every nonempty
-    classical suffix s.  Suffixes longer than the maximal base length in the
-    set cannot overlap any support string, so the scan stops there.
+    classical suffix s.  The overlap is a sum over x in supp psi of terms
+    that vanish unless x * s lies in supp phi, so only the candidate
+    suffixes s = y[len x:], with x in supp psi a proper prefix of y in
+    supp phi, can break it.  They are visited in (length, value) order, so
+    the witness is the first one an exhaustive scan over all suffixes would
+    find.  A pair has at most |supp phi| * L candidates (L the maximal base
+    length), each evaluated in O(|supp psi|): O(pairs * |supp|^2 * L) in
+    all, against the 2^(L+1) suffixes per pair of the scan that
+    :func:`qprefix.bruteforce.prefix_free_bruteforce` keeps as the oracle.
     """
     vectors = list(vectors)
-    nonzero = [v for v in vectors if v.terms]
-    if not nonzero:
-        return True, None
-    l_top = max(base_length(v) for v in nonzero)
+    tails = [_tails_by_head(v) for v in vectors]
+    items = [v.items_sorted() for v in vectors]
     for i, phi in enumerate(vectors):
         for j, psi in enumerate(vectors):
-            for length in range(1, l_top + 1):
-                for value in range(1 << length):
-                    s = BitString(length, value)
-                    acc = 0j
-                    for x, a in psi.items_sorted():
-                        b = phi.terms.get(x.concat(s))
-                        if b is not None:
-                            acc += b.conjugate() * a
-                    if abs(acc) > EPS:
-                        return False, Witness(i, j, s)
+            candidates = set()
+            for x in psi.terms:
+                candidates.update(tails[i].get(x, ()))
+            for s in sorted(candidates):
+                acc = 0j
+                for x, a in items[j]:
+                    b = phi.terms.get(x.concat(s))
+                    if b is not None:
+                        acc += b.conjugate() * a
+                if abs(acc) > EPS:
+                    return False, Witness(i, j, s)
     return True, None
 
 
@@ -139,91 +153,6 @@ def kraft_chain(basis: PrefixBasis) -> KraftChain:
     trace = math.fsum(abs(a) ** 2 * 2.0 ** (-s.length)
                       for v in vecs for s, a in v.items_sorted())
     return KraftChain(s_base, s_avg, trace)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityFragment:
-    """Reduced density operator on the first ``qubits`` qubits of a register."""
-    qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.qubits
-        if not 0 <= n <= MAX_FRAGMENT_QUBITS:
-            raise ValidationError("dense fragments support at most %d qubits"
-                                  % MAX_FRAGMENT_QUBITS)
-        m = self.matrix
-        if m.shape != (1 << n, 1 << n):
-            raise ValidationError("matrix shape does not match qubit count")
-        if np.max(np.abs(m - m.conj().T)) > EPS:
-            raise ValidationError("reduced state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > EPS:
-            raise ValidationError("reduced state trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -EPS:
-            raise ValidationError("reduced state is not positive semidefinite")
-
-    def expectation(self, psi: QubitString) -> float:
-        """<psi| rho |psi> for a state supported on ``qubits``-bit strings."""
-        acc = 0j
-        for a_bits, a_amp in psi.items_sorted():
-            if a_bits.length != self.qubits:
-                raise ValidationError("state length does not match the fragment")
-            for b_bits, b_amp in psi.items_sorted():
-                acc += (a_amp.conjugate()
-                        * self.matrix[a_bits.value, b_bits.value] * b_amp)
-        return acc.real
-
-
-def reduced_prefix_state(phi: QubitString, n: int, l_max: int) -> DensityFragment:
-    """Trace qubits n+1 .. l_max out of the zero-extended form of ``phi``."""
-    if n < 0 or n > l_max:
-        raise ValidationError("need 0 <= n <= l_max")
-    if n > MAX_FRAGMENT_QUBITS:
-        raise ValidationError("dense fragments support at most %d qubits"
-                              % MAX_FRAGMENT_QUBITS)
-    if not phi.is_normalized():
-        raise ValidationError("reduced states are defined for normalized inputs")
-    padded = zero_extended(phi, l_max)
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    by_tail: dict[BitString, list] = {}
-    for s, a in padded.items_sorted():
-        head, tail = s.prefix(n), BitString(l_max - n, s.value & ((1 << (l_max - n)) - 1))
-        by_tail.setdefault(tail, []).append((head.value, a))
-    for group in by_tail.values():
-        for ia, aa in group:
-            for ib, ab in group:
-                rho[ia, ib] += aa * ab.conjugate()
-    return DensityFragment(n, rho)
-
-
-def _eigen_length(psi: QubitString) -> int:
-    lengths = {s.length for s in psi.terms}
-    if len(lengths) != 1:
-        raise ValidationError("state is not a length eigenvector")
-    return lengths.pop()
-
-
-def distinguishable_by_prefix(vectors) -> bool:
-    """Prefix distinguishability of orthonormal length eigenvectors.
-
-    Equivalent to prefix-freedom on such systems: for every ordered pair,
-    the reduction of the padded phi to the first len(psi) qubits must not
-    overlap psi.
-    """
-    vectors = list(vectors)
-    lengths = [_eigen_length(v) for v in vectors]
-    if not is_orthonormal(vectors):
-        raise ValidationError("prefix distinguishability needs an orthonormal system")
-    l_max = max(lengths)
-    for i, phi in enumerate(vectors):
-        for j, psi in enumerate(vectors):
-            if i == j:
-                continue
-            rho = reduced_prefix_state(phi, lengths[j], l_max)
-            if rho.expectation(psi) > EPS:
-                return False
-    return True
 
 
 def gram_schmidt(vectors, tol: float = DEP_TOL):

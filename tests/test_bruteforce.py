@@ -1,4 +1,4 @@
-"""The exhaustive oracles: independent recomputation of entropy and rate."""
+"""The exhaustive oracles: independent recomputation of entropy, rate and prefix-freedom."""
 
 import math
 
@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qprefix import (Ensemble, ValidationError, hmon_bruteforce,
-                     monotone_entropy, optimal_rate, projections_bruteforce,
-                     rate_bruteforce, sequential_projections)
+from qprefix import (BitString, Ensemble, QubitString, ValidationError,
+                     hmon_bruteforce, is_prefix_free, ket, monotone_entropy,
+                     optimal_rate, prefix_free_bruteforce,
+                     projections_bruteforce, rate_bruteforce,
+                     sequential_projections)
 
-from helpers import random_dist, random_ensemble
+from helpers import (random_dist, random_ensemble, random_prefix_code,
+                     rotated_basis)
 
 seeds = st.integers(0, 2**30)
 
@@ -97,3 +100,50 @@ def test_projection_sweep_agrees_with_codec(seed):
     mine = {tuple(round(x, 12) for x in proj.probs)
             for proj in sequential_projections(ens)}
     assert projections_bruteforce(ens) == mine
+
+
+def _prefix_test_set(kind, rng):
+    """A set of qubit strings of the given kind for the certificate cross-check."""
+    if kind == "mixed":
+        # mixed lengths, the empty word, and zero vectors (no terms drawn)
+        vectors = []
+        for _ in range(int(rng.integers(1, 6))):
+            terms = {}
+            for _ in range(int(rng.integers(0, 4))):
+                l = int(rng.integers(0, 6))
+                terms[BitString(l, int(rng.integers(1 << l)))] = complex(
+                    rng.normal(), rng.normal())
+            vectors.append(QubitString(terms))
+        return vectors
+    words = random_prefix_code(rng, int(rng.integers(2, 8)), max_len=6)
+    if kind == "classical":
+        extras = [QubitString({}), ket("")][:int(rng.integers(3))]
+        vectors = [ket(w) for w in words] + extras
+        rng.shuffle(vectors)
+        return vectors
+    vectors = rotated_basis(rng, words)
+    if kind == "spoiled":
+        planted = words[int(rng.integers(len(words)))].concat(
+            BitString(1, int(rng.integers(2))))
+        vectors.insert(int(rng.integers(len(vectors) + 1)), ket(planted))
+    return vectors
+
+
+@given(st.sampled_from(["mixed", "classical", "rotated", "spoiled"]), seeds)
+def test_prefix_certificate_agrees_with_suffix_scan(kind, seed):
+    vectors = _prefix_test_set(kind, np.random.default_rng(seed))
+    flag, witness = is_prefix_free(vectors)
+    assert (flag, witness) == prefix_free_bruteforce(vectors)
+    if kind == "rotated":
+        assert flag
+    if kind == "spoiled":
+        assert not flag
+
+
+def test_prefix_scan_hand_cases_and_guard():
+    assert prefix_free_bruteforce([]) == (True, None)
+    assert prefix_free_bruteforce([QubitString({})]) == (True, None)
+    ok, w = prefix_free_bruteforce([ket("1"), ket(""), ket("0")])
+    assert not ok and (w.phi, w.psi, w.suffix.text) == (0, 1, "1")
+    with pytest.raises(ValidationError):
+        prefix_free_bruteforce([ket("0" * 13)])

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import random_prefix_code
 from qprefix import (BitString, ChannelState, CodeBook, NoiseModel,
                      QubitString, ValidationError, compare_codes,
                      init_channel, ket, protocol_step, run)
@@ -51,6 +54,37 @@ def test_code_book_validation():
         CodeBook.from_texts(["0", "01"])
     with pytest.raises(ValidationError):
         CodeBook.from_texts(["", "1"])  # empty word swallows everything
+
+
+def test_invalid_books_name_the_first_pair_in_book_order():
+    # text order meets '0' < '01' first; the message names the book-order pair
+    with pytest.raises(ValidationError,
+                       match=r"^book is not prefix-free: '1' prefixes '10'$"):
+        CodeBook.from_texts(["1", "0", "01", "10"])
+    with pytest.raises(ValidationError,
+                       match=r"^book is not prefix-free: '' prefixes '1'$"):
+        CodeBook.from_texts(["1", ""])
+
+
+@given(st.integers(0, 2**30))
+def test_book_check_matches_the_pairwise_scan(seed):
+    rng = np.random.default_rng(seed)
+    words = random_prefix_code(rng, int(rng.integers(2, 40)), max_len=8)
+    for _ in range(int(rng.integers(3))):
+        ext = words[int(rng.integers(len(words)))].concat(
+            BitString(1, int(rng.integers(2))))
+        if ext not in words:
+            words.insert(int(rng.integers(len(words) + 1)), ext)
+    rng.shuffle(words)
+    first = next(((a, b) for a in words for b in words
+                  if a != b and a.is_prefix_of(b)), None)
+    if first is None:
+        assert CodeBook(tuple(words)).words == tuple(words)
+    else:
+        with pytest.raises(ValidationError) as err:
+            CodeBook(tuple(words))
+        assert str(err.value) == ("book is not prefix-free: %r prefixes %r"
+                                  % (first[0].text, first[1].text))
 
 
 def test_init_channel_shapes_the_joint():

@@ -41,6 +41,32 @@ def test_verify_emits_a_witness_for_bad_bases(capsys, tmp_path):
     assert report["kraft"] is None and report["isClassical"] is None
 
 
+def _comma_basis(path, words):
+    path.write_text(json.dumps({"vectors": [
+        {"terms": [{"bits": w, "re": 1.0}]} for w in words]}))
+    return str(path)
+
+
+def test_verify_certifies_a_long_comma_code(capsys, tmp_path):
+    # 25 words up to length 24; a scan over every suffix would try 2^25 per pair
+    words = ["1" * k + "0" for k in range(24)] + ["1" * 24]
+    code, out, _ = run_cli(capsys, "verify", "--basis",
+                           _comma_basis(tmp_path / "comma.json", words))
+    assert code == 0
+    report = json.loads(out)
+    assert report["orthonormal"] and report["prefixFree"]
+    assert report["witness"] is None and report["isClassical"]
+    assert report["kraft"] == [1.0, 1.0, 1.0]  # a full code: the trace term is 1
+
+    spoiled = words + ["1" * 24 + "0"]
+    code, out, _ = run_cli(capsys, "verify", "--basis",
+                           _comma_basis(tmp_path / "spoiled.json", spoiled))
+    assert code == 0
+    report = json.loads(out)
+    assert not report["prefixFree"]
+    assert report["witness"] == {"phi": 25, "psi": 24, "suffix": "0"}
+
+
 def test_rate_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "rate", "--ensemble", f"{FIX}/four_state.json")
     _, second, _ = run_cli(capsys, "rate", "--ensemble", f"{FIX}/four_state.json")

@@ -1,4 +1,4 @@
-"""Prefix-freedom certificates, the Kraft chain, reduced prefix states."""
+"""Prefix-freedom certificates, the Kraft chain, and the dense reduced-state oracle."""
 
 import math
 
@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import (CHI, PHI, PSI, random_prefix_code, random_qstring,
                      rotated_basis)
-from qprefix import (BitString, DensityFragment, KraftChain, PrefixBasis,
-                     QubitString, ValidationError, concat, gram_schmidt,
-                     inner, is_orthonormal, is_prefix_free, ket, kraft_chain,
-                     reduced_prefix_state, subspace_prefix_free,
-                     distinguishable_by_prefix)
+from qprefix import (BitString, KraftChain, PrefixBasis, QubitString,
+                     ValidationError, concat, gram_schmidt, inner,
+                     is_orthonormal, is_prefix_free, ket, kraft_chain,
+                     subspace_prefix_free)
+from qprefix.bruteforce import (DensityFragment, distinguishable_by_prefix,
+                                reduced_prefix_state)
 
 seeds = st.integers(0, 2**30)
 
