@@ -1,9 +1,10 @@
 """Lossless prefix compression of qubit strings and an always-open channel."""
 
 from .bruteforce import (DensityFragment, OracleResult,
-                         distinguishable_by_prefix, hmon_bruteforce,
-                         prefix_free_bruteforce, projections_bruteforce,
-                         rate_bruteforce, reduced_prefix_state)
+                         compare_codes_bruteforce, distinguishable_by_prefix,
+                         hmon_bruteforce, prefix_free_bruteforce,
+                         projections_bruteforce, rate_bruteforce,
+                         reduced_prefix_state, run_bruteforce)
 from .channel import (BookResult, ChannelState, CodeBook, ComparisonReport,
                       NoiseModel, SimulationReport, compare_codes,
                       init_channel, protocol_step, run)
@@ -22,14 +23,15 @@ __all__ = [
     "EPS", "BitString", "BookResult", "ChannelState", "CodeBook",
     "ComparisonReport", "DensityFragment", "Ensemble", "KraftChain",
     "LengthAssignment", "LosslessCode", "NoiseModel", "OracleResult",
-    "PrefixBasis", "QubitString", "SequentialProjection", "SimulationReport",
-    "ValidationError", "Witness", "avg_length", "base_length", "build_code",
-    "canonical_codewords", "compare_codes", "concat", "decode",
+    "PrefixBasis", "QubitString", "SequentialProjection",
+    "SimulationReport", "ValidationError", "Witness", "avg_length",
+    "base_length", "build_code", "canonical_codewords", "compare_codes",
+    "compare_codes_bruteforce", "concat", "decode",
     "distinguishable_by_prefix", "encode", "gram_schmidt",
     "hmon_bruteforce", "init_channel", "inner", "is_orthonormal",
     "is_prefix_free", "ket", "kraft_chain", "monotone_entropy",
     "optimal_rate", "prefix_free_bruteforce", "projections_bruteforce",
     "protocol_step", "rate_bruteforce", "reduced_prefix_state", "run",
-    "sequential_projections", "shannon_entropy", "subspace_prefix_free",
-    "tensor_ensemble", "zero_extended",
+    "run_bruteforce", "sequential_projections", "shannon_entropy",
+    "subspace_prefix_free", "tensor_ensemble", "zero_extended",
 ]

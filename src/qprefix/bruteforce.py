@@ -4,7 +4,10 @@ Small, slow, and deliberately independent of the optimized code paths in
 :mod:`qprefix.codec` and :mod:`qprefix.prefix`: monotone entropy is
 minimized by enumerating every candidate length tuple, the compression rate
 by iterating every permutation of the state indices, and prefix-freedom by
-scanning every classical suffix.  Probabilities are handled in exact
+scanning every classical suffix.  The channel reference engine steps a dict
+of (Alice, cell, Bob) bit-string configurations one trial and one
+configuration at a time, against the batched integer engine of
+:mod:`qprefix.channel`.  Probabilities are handled in exact
 rational arithmetic (floats are dyadic rationals, so the scaling below is
 lossless) and Kraft sums in exact dyadic integers, so the results can be
 trusted as test oracles.
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .channel import BookResult, ComparisonReport, SimulationReport
 from .errors import ValidationError
 from .prefix import Witness, is_orthonormal
 from .qstring import EPS, BitString, QubitString, base_length, zero_extended
@@ -34,6 +38,8 @@ MAX_CAP = 16
 MAX_SCAN_LENGTH = 12
 # Qubit count above which dense reduced density matrices are refused.
 MAX_FRAGMENT_QUBITS = 12
+# Longest register the reference channel engine accepts.
+MAX_CHANNEL_LMAX = 16
 
 
 @dataclass(frozen=True)
@@ -310,3 +316,157 @@ def distinguishable_by_prefix(vectors) -> bool:
             if rho.expectation(psi) > EPS:
                 return False
     return True
+
+
+def _sample_branch(kind: str, q: float, rng) -> str:
+    if kind == "none":
+        return "I"
+    u = float(rng.random())
+    if kind == "bitflip":
+        return "X" if u < q else "I"
+    if kind == "phaseflip":
+        return "Z" if u < q else "I"
+    # depolarizing: I with 1 - 3q/4, each Pauli with q/4
+    if u < 1.0 - 0.75 * q:
+        return "I"
+    if u < 1.0 - 0.5 * q:
+        return "X"
+    if u < 1.0 - 0.25 * q:
+        return "Y"
+    return "Z"
+
+
+def _channel_start(message: QubitString, l_max: int) -> dict:
+    if not 0 <= l_max <= MAX_CHANNEL_LMAX:
+        raise ValidationError("the reference channel handles l_max up to %d"
+                              % MAX_CHANNEL_LMAX)
+    zeros = BitString(l_max, 0)
+    return {(s, 0, zeros): a for s, a in zero_extended(message, l_max).terms.items()}
+
+
+def _channel_step(joint: dict, words: frozenset, i: int, branch: str) -> dict:
+    idx = i - 1
+    new: dict = {}
+    for (a, c, b), amp in joint.items():
+        # Alice swaps her i-th qubit with the cell.
+        a2 = a.with_bit(idx, c)
+        c2 = a.bit(idx)
+        # Sampled Kraus branch on the cell.
+        if branch == "X":
+            c2 = 1 - c2
+        elif branch == "Z":
+            amp = -amp if c2 else amp
+        elif branch == "Y":
+            amp = amp * (1j if c2 == 0 else -1j)
+            c2 = 1 - c2
+        # Bob swaps unless a prefix of his received qubits is a code word.
+        if any(b.prefix(k) in words for k in range(i)):
+            key = (a2, c2, b)
+        else:
+            key = (a2, b.bit(idx), b.with_bit(idx, c2))
+        new[key] = new.get(key, 0j) + amp
+    return new
+
+
+def _bob_overlap_sq(joint: dict, target: QubitString) -> float:
+    # <target| rho_Bob |target> for the pure joint state: group by (Alice, cell).
+    acc: dict = {}
+    for (a, c, b), amp in joint.items():
+        t = target.terms.get(b)
+        if t is not None:
+            acc[(a, c)] = acc.get((a, c), 0j) + t.conjugate() * amp
+    return math.fsum(abs(v) ** 2 for v in acc.values())
+
+
+def run_bruteforce(message: QubitString, book, l_max: int, noise,
+                   trials: int) -> SimulationReport:
+    """Reference for :func:`qprefix.channel.run`: one dict trajectory per trial.
+
+    Same generators (trial t draws from ``default_rng(noise.seed + t)``, one
+    uniform per step) and the same report fields; the message is taken as
+    given, without the span and normalization checks of ``init_channel``.
+    """
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+    start = _channel_start(message, l_max)
+    words = frozenset(book.words)
+    qs = noise.step_probs(l_max)
+    target = zero_extended(message, l_max)
+
+    fids = []
+    err_counts = [0] * l_max
+    for t in range(trials):
+        rng = np.random.default_rng(noise.seed + t)
+        joint = start
+        for i in range(1, l_max + 1):
+            branch = _sample_branch(noise.kind, qs[i - 1], rng)
+            if branch != "I":
+                err_counts[i - 1] += 1
+            joint = _channel_step(joint, words, i, branch)
+        fids.append(_bob_overlap_sq(joint, target))
+
+    mean = math.fsum(fids) / trials
+    if trials > 1:
+        var = math.fsum((f - mean) ** 2 for f in fids) / (trials - 1)
+        stderr = math.sqrt(var / trials)
+    else:
+        stderr = 0.0
+
+    clean = start
+    for i in range(1, l_max + 1):
+        clean = _channel_step(clean, words, i, "I")
+    zeros = BitString(l_max, 0)
+    stray = math.fsum(abs(amp) ** 2 for (a, c, _), amp in clean.items()
+                      if a != zeros or c != 0)
+    return SimulationReport(trials, mean, stderr, tuple(err_counts),
+                            math.sqrt(stray) <= EPS)
+
+
+def compare_codes_bruteforce(probs, book_a, book_b, noise,
+                             trials: int) -> ComparisonReport:
+    """Reference for :func:`qprefix.channel.compare_codes`, one trial at a time.
+
+    Symbols come from ``default_rng(noise.seed)``; trial t of book b draws
+    its branches from ``default_rng((noise.seed, b, t))``.
+    """
+    probs = [float(x) for x in probs]
+    if (any(not math.isfinite(x) or x < 0.0 for x in probs)
+            or abs(math.fsum(probs) - 1.0) > EPS):
+        raise ValidationError("not a probability distribution")
+    if any(len(book.words) != len(probs) for book in (book_a, book_b)):
+        raise ValidationError("book size does not match the distribution")
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+
+    symbols = np.random.default_rng(noise.seed).choice(
+        len(probs), size=trials, p=np.asarray(probs) / math.fsum(probs))
+
+    results = []
+    for b_idx, book in enumerate((book_a, book_b)):
+        l_max = book.max_length
+        qs = noise.step_probs(l_max) if l_max else ()
+        words = frozenset(book.words)
+        successes = 0
+        for t in range(trials):
+            word = book.words[int(symbols[t])]
+            rng = np.random.default_rng((noise.seed, b_idx, t))
+            joint = _channel_start(QubitString({word: 1.0}), l_max)
+            for i in range(1, l_max + 1):
+                joint = _channel_step(joint, words, i,
+                                      _sample_branch(noise.kind, qs[i - 1], rng))
+            padded = BitString(l_max, word.value << (l_max - word.length))
+            good = math.fsum(abs(amp) ** 2 for (a, c, b), amp in joint.items()
+                             if b == padded)
+            if good > 1.0 - EPS:
+                successes += 1
+        rate = successes / trials
+        stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+        analytic = None
+        if noise.kind == "none":
+            analytic = 1.0
+        elif (noise.kind == "bitflip" and noise.per_step is None
+              and noise.schedule == "constant"):
+            analytic = math.fsum(p * (1.0 - noise.q) ** w.length
+                                 for p, w in zip(probs, book.words))
+        results.append(BookResult(rate, stderr, analytic))
+    return ComparisonReport(trials, tuple(results))

@@ -17,6 +17,15 @@ hence unitary on superpositions:
 Once a branch has delivered its code word, later noise only circulates
 between Alice's padding and the cell; with zero noise the final joint state
 is exactly |0...0>_A |0>_cell (x) |message, zero-extended>_B.
+
+The engine keeps configurations as packed integers (Alice's and Bob's
+registers with the first qubit as the most significant bit, plus the cell
+bit) next to a complex amplitude array.  Bob's swap is controlled only by
+bits it does not touch, so every sub-step is a bijection of configurations:
+a step is bit arithmetic on the rows plus a phase count (Y and Z multiply
+amplitudes by powers of i), and rows never merge.  Trials share the start
+configurations, so a batch of (trial x configuration) rows is stepped at
+once, each row following its own trial's sampled branches.
 """
 
 from __future__ import annotations
@@ -27,17 +36,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .prefix import DEP_TOL
 from .qstring import EPS, BitString, QubitString, base_length, zero_extended
 
-# Register length and support caps; beyond these the dict-of-configurations
-# representation stops being a sensible tool.
+# Register length and support caps; the packed configuration keeps
+# 2 * MAX_LMAX + 1 bits, well inside an int64.
 MAX_LMAX = 24
 MAX_SUPPORT = 1 << 20
-# Span membership tolerance for messages, matching the codec's dependence cut.
-SPAN_TOL = 1e-7
+# Trials are stepped in chunks of about this many (trial x configuration)
+# rows, so memory stays bounded whatever the trial count.
+CHUNK_ROWS = 1 << 14
 
 NOISE_KINDS = ("none", "bitflip", "phaseflip", "depolarizing")
 SCHEDULES = ("constant", "linear")
+# Kraus branches on the cell; the engine stores a branch as its index here.
+BRANCHES = "IXYZ"
+_X, _Y, _Z = 1, 2, 3
+# i**k for the phase count k (mod 4) that Y and Z branches leave on a row.
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,8 @@ class NoiseModel:
         if self.per_step is not None:
             if any(not 0.0 <= x <= 1.0 for x in self.per_step):
                 raise ValidationError("per-step probabilities must lie in [0, 1]")
+        if self.seed < 0:  # numpy generators take non-negative seeds only
+            raise ValidationError("noise seed must be >= 0")
 
     def step_probs(self, l_max: int) -> tuple:
         if self.kind == "none":
@@ -117,9 +135,16 @@ class CodeBook:
 
 
 class ChannelState:
-    """Joint configuration amplitudes over (Alice bits, cell bit, Bob bits)."""
+    """Joint configuration amplitudes over (Alice bits, cell bit, Bob bits).
 
-    __slots__ = ("l_max", "book", "joint", "_words")
+    Row k is one configuration: ``alice[k]`` and ``bob[k]`` are the packed
+    registers, ``cell[k]`` the cell bit and ``amps[k]`` its amplitude.  The
+    constructor validates a ``{(alice, cell, bob): amplitude}`` dict keyed
+    by bit strings; states the engine derives from a valid one are not
+    checked again.
+    """
+
+    __slots__ = ("l_max", "book", "alice", "cell", "bob", "amps")
 
     def __init__(self, l_max: int, book: CodeBook, joint: dict):
         if not 0 <= l_max <= MAX_LMAX:
@@ -134,12 +159,29 @@ class ChannelState:
                 raise ValidationError("malformed configuration key")
         self.l_max = l_max
         self.book = book
-        self.joint = joint
-        self._words = frozenset(book.words)
+        self.alice = np.array([a.value for a, _, _ in joint], dtype=np.int64)
+        self.cell = np.array([c for _, c, _ in joint], dtype=np.int64)
+        self.bob = np.array([b.value for _, _, b in joint], dtype=np.int64)
+        self.amps = np.array(list(joint.values()), dtype=complex)
+
+    @classmethod
+    def _from_rows(cls, l_max, book, alice, cell, bob, amps) -> "ChannelState":
+        state = cls.__new__(cls)
+        state.l_max, state.book = l_max, book
+        state.alice, state.cell, state.bob, state.amps = alice, cell, bob, amps
+        return state
+
+    @property
+    def joint(self) -> dict:
+        n = self.l_max
+        return {(BitString(n, a), c, BitString(n, b)): amp
+                for a, c, b, amp in zip(self.alice.tolist(), self.cell.tolist(),
+                                        self.bob.tolist(), self.amps.tolist())}
 
     def completed(self, bob: BitString, received: int) -> bool:
         """True when some prefix of Bob's first ``received`` bits is a code word."""
-        return any(bob.prefix(k) in self._words for k in range(received + 1))
+        words = frozenset(self.book.words)
+        return any(bob.prefix(k) in words for k in range(received + 1))
 
 
 def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelState:
@@ -154,7 +196,7 @@ def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelSta
         raise ValidationError("message does not fit into l_max qubits")
     words = frozenset(book.words)
     off = math.fsum(abs(a) ** 2 for s, a in message.items_sorted() if s not in words)
-    if math.sqrt(off) >= SPAN_TOL:
+    if math.sqrt(off) >= DEP_TOL:
         raise ValidationError("message lies outside the span of the code words")
     padded = zero_extended(message, l_max)
     zeros = BitString(l_max, 0)
@@ -162,48 +204,88 @@ def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelSta
     return ChannelState(l_max, book, joint)
 
 
-def _sample_branch(kind: str, q: float, rng) -> str:
+def _words_by_length(book: CodeBook) -> dict:
+    """The book's code words as packed integers, keyed by word length."""
+    out: dict = {}
+    for w in book.words:
+        out.setdefault(w.length, []).append(w.value)
+    return {k: np.array(v, dtype=np.int64) for k, v in out.items()}
+
+
+def _branch_codes(kind: str, qs, u) -> np.ndarray:
+    """Branch indices into BRANCHES from uniform draws u[trial, step]."""
     if kind == "none":
-        return "I"
-    u = float(rng.random())
+        return np.zeros(np.shape(u), dtype=np.int8)
+    q = np.asarray(qs, dtype=float)
     if kind == "bitflip":
-        return "X" if u < q else "I"
+        return np.where(u < q, _X, 0).astype(np.int8)
     if kind == "phaseflip":
-        return "Z" if u < q else "I"
-    # depolarizing: I with 1 - 3q/4, each Pauli with q/4
-    if u < 1.0 - 0.75 * q:
-        return "I"
-    if u < 1.0 - 0.5 * q:
-        return "X"
-    if u < 1.0 - 0.25 * q:
-        return "Y"
-    return "Z"
+        return np.where(u < q, _Z, 0).astype(np.int8)
+    # depolarizing: I below 1 - 3q/4, then X, Y and Z with q/4 each
+    return ((u >= 1.0 - 0.75 * q).astype(np.int8) + (u >= 1.0 - 0.5 * q)
+            + (u >= 1.0 - 0.25 * q))
+
+
+def _draw_branches(kind: str, qs, seeds) -> np.ndarray:
+    """Branches of one trial per seed: ``default_rng(seed)`` draws one uniform per step."""
+    seeds = list(seeds)
+    u = np.zeros((len(seeds), len(qs)))
+    if kind != "none" and len(qs):
+        for t, seed in enumerate(seeds):
+            u[t] = np.random.default_rng(seed).random(len(qs))
+    return _branch_codes(kind, qs, u)
+
+
+def _evolve(alice, cell, bob, codes, first: int, l_max: int, words: dict):
+    """Run steps first, first + 1, ... on a batch of configuration rows.
+
+    ``alice``, ``cell`` and ``bob`` broadcast against (trials, 1); column j
+    of ``codes`` holds every trial's branch at step first + j.  Returns the
+    (alice, cell, bob, phase) arrays; a row's amplitude has gained i**phase.
+    """
+    shape = np.broadcast_shapes(np.shape(alice), (codes.shape[0], 1))
+    a, c, b = (np.broadcast_to(x, shape).copy() for x in (alice, cell, bob))
+    phase = np.zeros(shape, dtype=np.int64)
+    done = np.zeros(shape, dtype=bool)
+
+    def complete(k):
+        # Bob's first k bits are final once step k is over, so a word of
+        # length k completes him for good: the flag is sticky.
+        if k in words:
+            done[...] |= np.isin(b >> (l_max - k), words[k])
+
+    for k in range(first - 1):
+        complete(k)
+    flip = (codes == _X) | (codes == _Y)
+    signs = (codes == _Y) | (codes == _Z)
+    quarter = codes == _Y
+    for j in range(codes.shape[1]):
+        i = first + j
+        shift = l_max - i
+        complete(i - 1)
+        # Alice swaps her i-th qubit with the cell.
+        d = ((a >> shift) & 1) ^ c
+        a ^= d << shift
+        c ^= d
+        # The branch: X flips the cell, Z signs |1>, Y maps |0> to i|1>
+        # and |1> to -i|0>.
+        phase += 2 * c * signs[:, j, None] + quarter[:, j, None]
+        c ^= flip[:, j, None]
+        # Bob swaps his i-th qubit with the cell unless he is complete.
+        d = (((b >> shift) & 1) ^ c) & ~done
+        b ^= d << shift
+        c ^= d
+    return a, c, b, phase
 
 
 def _apply_step(state: ChannelState, i: int, branch: str) -> ChannelState:
     if not 1 <= i <= state.l_max:
         raise ValidationError("step index out of range")
-    idx = i - 1
-    new: dict = {}
-    for (a, c, b), amp in state.joint.items():
-        # Alice swaps her i-th qubit with the cell.
-        a2 = a.with_bit(idx, c)
-        c2 = a.bit(idx)
-        # Sampled Kraus branch on the cell.
-        if branch == "X":
-            c2 = 1 - c2
-        elif branch == "Z":
-            amp = -amp if c2 else amp
-        elif branch == "Y":
-            amp = amp * (1j if c2 == 0 else -1j)
-            c2 = 1 - c2
-        # Bob swaps unless a prefix of his received qubits is a code word.
-        if state.completed(b, i - 1):
-            key = (a2, c2, b)
-        else:
-            key = (a2, b.bit(idx), b.with_bit(idx, c2))
-        new[key] = new.get(key, 0j) + amp
-    return ChannelState(state.l_max, state.book, new)
+    codes = np.array([[BRANCHES.index(branch)]], dtype=np.int8)
+    a, c, b, phase = _evolve(state.alice, state.cell, state.bob, codes, i,
+                             state.l_max, _words_by_length(state.book))
+    return ChannelState._from_rows(state.l_max, state.book, a[0], c[0], b[0],
+                                   state.amps * _PHASES[phase[0] & 3])
 
 
 def protocol_step(state: ChannelState, i: int, noise: NoiseModel, rng) -> ChannelState:
@@ -211,17 +293,39 @@ def protocol_step(state: ChannelState, i: int, noise: NoiseModel, rng) -> Channe
     if not 1 <= i <= state.l_max:
         raise ValidationError("step index out of range")
     q = noise.step_probs(state.l_max)[i - 1]
-    return _apply_step(state, i, _sample_branch(noise.kind, q, rng))
+    u = rng.random() if noise.kind != "none" else 0.0
+    code = _branch_codes(noise.kind, (q,), np.array([[u]]))[0, 0]
+    return _apply_step(state, i, BRANCHES[code])
 
 
-def _bob_overlap_sq(state: ChannelState, target: QubitString) -> float:
-    # <target| rho_Bob |target> for the pure joint state: group by (Alice, cell).
-    acc: dict = {}
-    for (a, c, b), amp in state.joint.items():
-        t = target.terms.get(b)
-        if t is not None:
-            acc[(a, c)] = acc.get((a, c), 0j) + t.conjugate() * amp
-    return math.fsum(abs(v) ** 2 for v in acc.values())
+def _bob_fidelities(rows, start: ChannelState) -> list:
+    """<message| rho_Bob |message> for each trial (row) of ``rows``.
+
+    The zero-extended message is Alice's start register, so ``start`` holds
+    the target amplitudes too.  A trial's joint state is pure: the overlap
+    sums conj(target(b)) * amp over each (Alice, cell) group, in row order,
+    and adds the squared magnitudes of the group sums.
+    """
+    a, c, b, phase = rows
+    order = np.argsort(start.alice)
+    t_val, t_amp = start.alice[order], start.amps[order]
+    pos = np.minimum(np.searchsorted(t_val, b), len(t_val) - 1)
+    hit = t_val[pos] == b
+    amp = (start.amps * _PHASES[phase & 3])[hit]
+    t = t_amp[pos[hit]]
+    # conj(t) * amp, one rounding per operation as in complex arithmetic
+    re = t.real * amp.real + t.imag * amp.imag
+    im = t.real * amp.imag - t.imag * amp.real
+    trial = np.nonzero(hit)[0]
+    shift = start.l_max + 1
+    groups, inverse = np.unique((trial << shift) | (a[hit] << 1) | c[hit],
+                                return_inverse=True)
+    sum_re = np.bincount(inverse, weights=re, minlength=len(groups))
+    sum_im = np.bincount(inverse, weights=im, minlength=len(groups))
+    terms = [[] for _ in range(phase.shape[0])]
+    for k, x, y in zip((groups >> shift).tolist(), sum_re.tolist(), sum_im.tolist()):
+        terms[k].append(abs(complex(x, y)) ** 2)
+    return [math.fsum(ts) for ts in terms]
 
 
 @dataclass(frozen=True)
@@ -246,19 +350,17 @@ def run(message: QubitString, book: CodeBook, l_max: int,
         raise ValidationError("need at least one trial")
     start = init_channel(message, book, l_max)
     qs = noise.step_probs(l_max)
-    target = zero_extended(message, l_max)
+    words = _words_by_length(book)
+    rows = (start.alice, start.cell, start.bob)
 
     fids = []
-    err_counts = [0] * l_max
-    for t in range(trials):
-        rng = np.random.default_rng(noise.seed + t)
-        state = start
-        for i in range(1, l_max + 1):
-            branch = _sample_branch(noise.kind, qs[i - 1], rng)
-            if branch != "I":
-                err_counts[i - 1] += 1
-            state = _apply_step(state, i, branch)
-        fids.append(_bob_overlap_sq(state, target))
+    err_counts = np.zeros(l_max, dtype=np.int64)
+    chunk = max(1, CHUNK_ROWS // len(start.amps))
+    for t0 in range(0, trials, chunk):
+        seeds = range(noise.seed + t0, noise.seed + min(trials, t0 + chunk))
+        codes = _draw_branches(noise.kind, qs, seeds)
+        err_counts += np.count_nonzero(codes, axis=0)
+        fids += _bob_fidelities(_evolve(*rows, codes, 1, l_max, words), start)
 
     mean = math.fsum(fids) / trials
     if trials > 1:
@@ -267,15 +369,11 @@ def run(message: QubitString, book: CodeBook, l_max: int,
     else:
         stderr = 0.0
 
-    clean = start
-    for i in range(1, l_max + 1):
-        clean = _apply_step(clean, i, "I")
-    zeros = BitString(l_max, 0)
-    stray = math.fsum(abs(amp) ** 2 for (a, c, _), amp in clean.joint.items()
-                      if a != zeros or c != 0)
-    disentangled = math.sqrt(stray) <= EPS
+    a, c, _, _ = _evolve(*rows, np.zeros((1, l_max), dtype=np.int8), 1, l_max, words)
+    stray = start.amps[((a != 0) | (c != 0))[0]]
+    disentangled = math.sqrt(math.fsum(abs(x) ** 2 for x in stray.tolist())) <= EPS
 
-    return SimulationReport(trials, mean, stderr, tuple(err_counts), disentangled)
+    return SimulationReport(trials, mean, stderr, tuple(err_counts.tolist()), disentangled)
 
 
 @dataclass(frozen=True)
@@ -297,11 +395,13 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
 
     Message symbol j is drawn once per trial and sent as word j of each
     book; success means Bob's register holds exactly the zero-extended word.
+    Trial t of book b draws its branches from ``default_rng((seed, b, t))``.
     For constant bit-flip noise the closed form sum_j p_j (1-q)^len(w_j) is
     attached for reference (errors after completion cannot reach Bob).
     """
     probs = [float(x) for x in probs]
-    if any(x < 0.0 for x in probs) or abs(math.fsum(probs) - 1.0) > EPS:
+    if (any(not math.isfinite(x) or x < 0.0 for x in probs)
+            or abs(math.fsum(probs) - 1.0) > EPS):
         raise ValidationError("not a probability distribution")
     for book in (book_a, book_b):
         if len(book.words) != len(probs):
@@ -316,18 +416,24 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
     for b_idx, book in enumerate((book_a, book_b)):
         l_max = book.max_length
         qs = noise.step_probs(l_max) if l_max else ()
+        words = _words_by_length(book)
+        # A word message is a single configuration with amplitude 1, so a
+        # trial succeeds when Bob ends up holding the padded word.  Each
+        # word sent is validated once.
+        alice, cell, bob = (np.zeros(len(book.words), dtype=np.int64) for _ in range(3))
+        for j in np.unique(symbols).tolist():
+            state = init_channel(QubitString({book.words[j]: 1.0}), book, l_max)
+            alice[j], cell[j], bob[j] = state.alice[0], state.cell[0], state.bob[0]
+        padded = np.array([w.value << (l_max - w.length) for w in book.words],
+                          dtype=np.int64)
         successes = 0
-        for t in range(trials):
-            word = book.words[int(symbols[t])]
-            rng = np.random.default_rng((noise.seed, b_idx, t))
-            state = init_channel(QubitString({word: 1.0}), book, l_max)
-            for i in range(1, l_max + 1):
-                state = _apply_step(state, i, _sample_branch(noise.kind, qs[i - 1], rng))
-            padded = BitString(l_max, word.value << (l_max - word.length))
-            good = math.fsum(abs(amp) ** 2 for (a, c, b), amp in state.joint.items()
-                             if b == padded)
-            if good > 1.0 - EPS:
-                successes += 1
+        for t0 in range(0, trials, CHUNK_ROWS):
+            sym = symbols[t0:t0 + CHUNK_ROWS]
+            seeds = ((noise.seed, b_idx, t) for t in range(t0, t0 + len(sym)))
+            codes = _draw_branches(noise.kind, qs, seeds)
+            _, _, b, _ = _evolve(alice[sym, None], cell[sym, None], bob[sym, None],
+                                 codes, 1, l_max, words)
+            successes += int(np.count_nonzero(b[:, 0] == padded[sym]))
         rate = successes / trials
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
         analytic = None

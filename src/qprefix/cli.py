@@ -50,7 +50,7 @@ def cmd_verify(args) -> dict:
         report["witness"] = {"phi": witness.phi, "psi": witness.psi,
                              "suffix": witness.suffix.text}
     if orthonormal and ok:
-        basis = prefix.PrefixBasis.from_vectors(vectors)
+        basis = prefix.PrefixBasis.from_certified(vectors)
         chain = prefix.kraft_chain(basis)
         report["kraft"] = [chain.sum_base, chain.sum_avg, chain.trace_term]
         report["isClassical"] = basis.is_classical

@@ -115,7 +115,8 @@ def shannon_entropy(p) -> float:
     p = [float(x) for x in p]
     if not p or any(x < 0.0 for x in p) or abs(math.fsum(p) - 1.0) > EPS:
         raise ValidationError("not a probability distribution")
-    return -math.fsum(x * math.log2(x) for x in p if x > 0.0)
+    # 0.0 - h, not -h: a one-state source has entropy 0.0, never -0.0
+    return 0.0 - math.fsum(x * math.log2(x) for x in p if x > 0.0)
 
 
 def _scaled_ints(p):

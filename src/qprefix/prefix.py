@@ -132,13 +132,19 @@ class PrefixBasis:
     @classmethod
     def from_vectors(cls, vectors) -> "PrefixBasis":
         vectors = tuple(vectors)
-        if not vectors:
-            raise ValidationError("a prefix basis needs at least one vector")
         if not is_orthonormal(vectors):
             raise ValidationError("basis is not orthonormal")
         ok, wit = is_prefix_free(vectors)
         if not ok:
             raise ValidationError("basis is not prefix-free (witness %r)" % (wit,))
+        return cls.from_certified(vectors)
+
+    @classmethod
+    def from_certified(cls, vectors) -> "PrefixBasis":
+        """Wrap vectors already found orthonormal and prefix-free."""
+        vectors = tuple(vectors)
+        if not vectors:
+            raise ValidationError("a prefix basis needs at least one vector")
         classical = all(len(v.terms) == 1 and
                         abs(abs(next(iter(v.terms.values()))) - 1.0) <= EPS
                         for v in vectors)

@@ -51,7 +51,7 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        if any(c not in "01" for c in text):
+        if not isinstance(text, str) or any(c not in "01" for c in text):
             raise ValidationError("bit string text must consist of 0s and 1s: %r" % text)
         return cls(len(text), int(text, 2) if text else 0)
 
@@ -148,7 +148,10 @@ class QubitString:
         return [(s, self._terms[s]) for s in self.support()]
 
     def norm_sq(self) -> float:
-        return math.fsum(abs(a) ** 2 for _, a in self.items_sorted())
+        try:
+            return math.fsum(abs(a) ** 2 for _, a in self.items_sorted())
+        except OverflowError:  # finite amplitudes whose squares overflow
+            return math.inf
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())

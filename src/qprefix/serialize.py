@@ -36,13 +36,25 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _as_float(x, what):
+    """A finite float from a JSON number (or numeric text)."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("bad %s %r" % (what, x))
+    if not math.isfinite(value):
+        raise ValidationError("%s must be finite, got %r" % (what, x))
+    return value
+
+
 def _as_prob(x):
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError:
-            raise ValidationError("bad probability text %r" % x)
-    return float(x)
+    return _as_float(x, "probability")
+
+
+def _as_list(x, where):
+    if not isinstance(x, list):
+        raise ValidationError("%s must be a list" % where)
+    return x
 
 
 def qstring_to_obj(psi: QubitString) -> dict:
@@ -51,11 +63,12 @@ def qstring_to_obj(psi: QubitString) -> dict:
 
 
 def qstring_from_obj(obj) -> QubitString:
-    terms = _require(obj, "terms", "qubit string")
+    terms = _as_list(_require(obj, "terms", "qubit string"), "qubit string terms")
     acc = {}
     for t in terms:
         bits = BitString.from_text(_require(t, "bits", "qubit string term"))
-        amp = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
+        amp = complex(_as_float(t.get("re", 0.0), "amplitude"),
+                      _as_float(t.get("im", 0.0), "amplitude"))
         acc[bits] = acc.get(bits, 0j) + amp
     return QubitString(acc)
 
@@ -149,8 +162,10 @@ def book_from_obj(obj) -> CodeBook:
 
 
 def dist_from_obj(obj):
-    probs = [_as_prob(x) for x in _require(obj, "probs", "distribution")]
-    if not probs or any(x < 0.0 for x in probs) or abs(math.fsum(probs) - 1.0) > 1e-9:
+    probs = [_as_prob(x) for x in _as_list(_require(obj, "probs", "distribution"),
+                                           "distribution probs")]
+    if (not probs or any(not 0.0 <= x <= 1.0 for x in probs)
+            or abs(math.fsum(probs) - 1.0) > 1e-9):
         raise ValidationError("not a probability distribution")
     return probs
 

@@ -1,5 +1,6 @@
 """The always-open channel: swaps, sampled noise branches, completion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_prefix_code
+from helpers import random_dist, random_prefix_code
 from qprefix import (BitString, ChannelState, CodeBook, NoiseModel,
-                     QubitString, ValidationError, compare_codes,
-                     init_channel, ket, protocol_step, run)
-from qprefix.channel import _apply_step, _sample_branch
+                     QubitString, ValidationError, channel, compare_codes,
+                     compare_codes_bruteforce, init_channel, ket,
+                     protocol_step, run, run_bruteforce)
+from qprefix.bruteforce import _sample_branch
+from qprefix.channel import _apply_step
+from qprefix.serialize import round_floats
 
 BOOK = CodeBook.from_texts(["0", "10", "11"])
 FIXED = CodeBook.from_texts(["00", "01", "10"])
@@ -251,3 +255,101 @@ def test_phase_noise_cannot_break_classical_words():
     rep = compare_codes((1 / 3.0,) * 3, BOOK, FIXED, noise, 100)
     assert [res.success_rate for res in rep.results] == [1.0, 1.0]
     assert [res.analytic for res in rep.results] == [None, None]
+
+
+# --- the batched engine against the dict-of-configurations reference ---------
+
+def _rounded(report):
+    return round_floats(dataclasses.asdict(report))
+
+
+def _noises(rng, steps):
+    """Every noise kind under both schedules and under an explicit schedule."""
+    seed = int(rng.integers(1000))
+    out = [NoiseModel("none", seed=seed)]
+    for kind in ("bitflip", "phaseflip", "depolarizing"):
+        out.append(NoiseModel(kind, float(rng.uniform(0.0, 1.0)), seed=seed))
+        out.append(NoiseModel(kind, float(rng.uniform(0.0, 0.4)), "linear", seed=seed))
+        out.append(NoiseModel(kind, 0.0, per_step=tuple(rng.uniform(0.0, 1.0, steps)),
+                              seed=seed))
+    return out
+
+
+def _superposed(rng, words):
+    """A normalized message over a random nonempty subset of the words."""
+    k = int(rng.integers(1, len(words) + 1))
+    picked = [words[i] for i in rng.choice(len(words), size=k, replace=False)]
+    amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return QubitString(dict(zip(picked, amps))).normalized()
+
+
+@given(st.integers(0, 2**30), st.booleans())
+def test_run_matches_the_reference_engine(seed, full):
+    rng = np.random.default_rng(seed)
+    words = random_prefix_code(rng, int(rng.integers(2, 10)), max_len=5, full=full)
+    cases = [(CodeBook(tuple(words)), _superposed(rng, words)),
+             (CodeBook.from_texts([""]), ket(""))]
+    for book, message in cases:
+        l_max = book.max_length + int(rng.integers(0, 3))  # may exceed the longest word
+        trials = int(rng.integers(1, 12))
+        for noise in _noises(rng, l_max):
+            assert (_rounded(run(message, book, l_max, noise, trials))
+                    == _rounded(run_bruteforce(message, book, l_max, noise, trials)))
+
+
+@given(st.integers(0, 2**30))
+def test_compare_codes_matches_the_reference_engine(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    book_a = CodeBook(tuple(random_prefix_code(rng, n, max_len=6)))
+    book_b = CodeBook(tuple(random_prefix_code(rng, n, max_len=6, full=False)))
+    races = [(random_dist(rng, n), book_a, book_b),
+             ((1.0,), CodeBook.from_texts([""]), CodeBook.from_texts(["1"]))]
+    for probs, a, b in races:
+        trials = int(rng.integers(1, 30))
+        steps = max(a.max_length, b.max_length)
+        for noise in _noises(rng, steps):
+            assert (_rounded(compare_codes(probs, a, b, noise, trials))
+                    == _rounded(compare_codes_bruteforce(probs, a, b, noise, trials)))
+
+
+def test_trial_chunks_do_not_change_the_reports(monkeypatch):
+    noise = NoiseModel("depolarizing", 0.4, seed=9)
+    book = CodeBook.from_texts(["0", "10", "110", "111"])
+    message = (ket("0") + 1j * ket("110") - ket("111")).normalized()
+    expected = (_rounded(run(message, book, 4, noise, 40)),
+                _rounded(compare_codes((0.1, 0.2, 0.3, 0.4), book, book, noise, 40)))
+    monkeypatch.setattr(channel, "CHUNK_ROWS", 7)  # several trials, then one per chunk
+    assert (_rounded(run(message, book, 4, noise, 40)),
+            _rounded(compare_codes((0.1, 0.2, 0.3, 0.4), book, book, noise, 40))) == expected
+    assert expected == (_rounded(run_bruteforce(message, book, 4, noise, 40)),
+                        _rounded(compare_codes_bruteforce((0.1, 0.2, 0.3, 0.4), book, book,
+                                                          noise, 40)))
+
+
+def test_reference_engine_guards():
+    with pytest.raises(ValidationError):
+        run_bruteforce(PLUS, BOOK, 17, NONE, 1)  # register above the cap
+    with pytest.raises(ValidationError):
+        run_bruteforce(PLUS, BOOK, 2, NONE, 0)
+    with pytest.raises(ValidationError):
+        compare_codes_bruteforce((0.5, 0.5), BOOK, FIXED, NONE, 10)
+
+
+def test_compare_codes_validates_each_word_once(monkeypatch):
+    calls = []
+    original = channel.init_channel
+
+    def counting(message, book, l_max):
+        calls.append(book)
+        return original(message, book, l_max)
+
+    monkeypatch.setattr(channel, "init_channel", counting)
+    compare_codes((0.5, 0.25, 0.25), BOOK, FIXED, NoiseModel("bitflip", 0.1), 500)
+    assert [b is BOOK for b in calls] == [True] * 3 + [False] * 3
+
+
+def test_compare_codes_rejects_non_finite_probabilities():
+    for probs in ((math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValidationError):
+            compare_codes(probs, BOOK, FIXED, NONE, 10)

@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import math
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qprefix import prefix
 from qprefix.cli import main
 
 FIX = "fixtures"
@@ -184,3 +190,95 @@ def test_console_entry_point_matches_module_invocation():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_nan_distribution_exits_2(capsys, tmp_path):
+    dist = _write(tmp_path / "dist.json", {"probs": [float("nan"), 0.5, 0.5]})
+    code, out, err = run_cli(capsys, "compare",
+                             "--bookA", f"{FIX}/book_compressed.json",
+                             "--bookB", f"{FIX}/book_fixed.json",
+                             "--dist", dist, "--trials", "10")
+    assert code == 2 and out == ""
+    assert "finite" in json.loads(err)["error"]
+
+
+def test_non_numeric_amplitude_exits_2(capsys, tmp_path):
+    msg = _write(tmp_path / "msg.json", {"terms": [{"bits": "0", "re": "x"}]})
+    code, out, err = run_cli(capsys, "simulate", "--code", f"{FIX}/book_compressed.json",
+                             "--message", msg, "--trials", "3")
+    assert code == 2 and out == ""
+    assert "amplitude" in json.loads(err)["error"]
+
+
+def test_one_state_entropy_is_positive_zero(capsys, tmp_path):
+    ens = _write(tmp_path / "one.json",
+                 {"dimension": 2, "states": [{"p": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}]})
+    code, out, _ = run_cli(capsys, "rate", "--ensemble", ens)
+    assert code == 0
+    assert '"shannon": 0.0\n' in out
+    assert math.copysign(1.0, json.loads(out)["shannon"]) == 1.0
+
+
+def test_verify_certifies_each_basis_once(capsys, monkeypatch):
+    calls = []
+    original = prefix.is_prefix_free
+
+    def counting(vectors):
+        calls.append(1)
+        return original(vectors)
+
+    monkeypatch.setattr(prefix, "is_prefix_free", counting)
+    code, out, _ = run_cli(capsys, "verify", "--basis",
+                           f"{FIX}/superposed_prefix_basis.json")
+    assert code == 0 and json.loads(out)["prefixFree"]
+    assert len(calls) == 1
+
+
+# Loader fuzz: arbitrary JSON in the book, message and distribution files,
+# biased towards almost-valid shapes, must give a report or exit 2.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["0", "10", "0.5", "nan", "1e999", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_bits = st.text("01", max_size=4) | _json
+_books = st.fixed_dictionaries({"words": st.lists(_bits, max_size=4)}) | _json
+_terms = st.fixed_dictionaries({"bits": _bits}, optional={"re": _json, "im": _json}) | _json
+_messages = st.fixed_dictionaries({"terms": st.lists(_terms, max_size=4)}) | _json
+_dists = (st.fixed_dictionaries({"probs": st.lists(
+    st.sampled_from([0.25, 0.5, "0.25"]) | _json, min_size=3, max_size=3) | _json}) | _json)
+
+
+@given(_books, _messages, _dists)
+def test_loader_fuzz_exits_0_or_2(book, message, dist):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        book, message, dist = (_write(root / name, obj) for name, obj in
+                               (("book.json", book), ("msg.json", message),
+                                ("dist.json", dist)))
+        noise = ["--noise", "depolarizing", "--q", "0.3", "--trials", "3"]
+        codes = [
+            main(["simulate", "--code", book, "--message", message] + noise),
+            main(["simulate", "--code", f"{FIX}/book_compressed.json",
+                  "--message", message] + noise),
+            main(["compare", "--bookA", book, "--bookB", book, "--dist", dist] + noise),
+            main(["compare", "--bookA", f"{FIX}/book_compressed.json",
+                  "--bookB", f"{FIX}/book_fixed.json", "--dist", dist] + noise),
+        ]
+    assert set(codes) <= {0, 2}
+
+
+def test_negative_seed_exits_2(capsys):
+    for argv in (["simulate", "--code", f"{FIX}/book_compressed.json",
+                  "--message", f"{FIX}/message_plus.json"],
+                 ["compare", "--bookA", f"{FIX}/book_compressed.json",
+                  "--bookB", f"{FIX}/book_fixed.json", "--dist", f"{FIX}/dist_uniform3.json"]):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--trials", "3")
+        assert code == 2 and out == ""
+        assert "seed" in json.loads(err)["error"]
