@@ -97,23 +97,18 @@ def _rank(mat) -> int:
     return int(np.linalg.matrix_rank(mat))
 
 
-def rate_bruteforce(ensemble) -> OracleResult:
-    """Minimum monotone entropy over every choice-order of the ensemble states.
+def _choice_orders(ensemble):
+    """Every permutation of the state indices, used as a choice order.
 
-    Each permutation of the indices is used as the sequence of chosen
-    representatives; vectors already absorbed by an earlier group are
-    skipped.  Group membership is decided by a matrix-rank test, which keeps
-    this oracle mechanically independent of the Gram-Schmidt bookkeeping in
-    the codec.
+    Yields (representatives, grouped probabilities) per permutation: each
+    index not absorbed by an earlier group starts a group of every remaining
+    state in the span of the absorbed ones plus it.  Group membership is
+    decided by a matrix-rank test, which keeps the oracles mechanically
+    independent of the Gram-Schmidt bookkeeping in the codec.
     """
     probs = [float(x) for x in ensemble.probs]
-    vecs = [np.asarray(v, dtype=complex) for v in ensemble.vectors]
     n = len(probs)
-    if n == 0:
-        raise ValidationError("empty ensemble")
-    if n > MAX_N:
-        raise ValidationError("rate_bruteforce handles at most %d states" % MAX_N)
-    cols = np.column_stack(vecs)
+    cols = np.column_stack([np.asarray(v, dtype=complex) for v in ensemble.vectors])
 
     rank_cache: dict[frozenset, int] = {}
 
@@ -138,8 +133,6 @@ def rate_bruteforce(ensemble) -> OracleResult:
             group_cache[key] = tuple(sorted(members))
         return group_cache[key]
 
-    hmon_cache: dict[tuple, OracleResult] = {}
-    best = None  # (value, order, projection, lengths)
     for perm in itertools.permutations(range(n)):
         consumed: frozenset = frozenset()
         pprime = []
@@ -151,11 +144,29 @@ def rate_bruteforce(ensemble) -> OracleResult:
             pprime.append(math.fsum(probs[j] for j in members))
             order.append(idx)
             consumed = consumed | set(members)
-        key = tuple(pprime)
+        yield tuple(order), tuple(pprime)
+
+
+def rate_bruteforce(ensemble) -> OracleResult:
+    """Minimum monotone entropy over every choice-order of the ensemble states.
+
+    Each permutation of the indices is used as the sequence of chosen
+    representatives; vectors already absorbed by an earlier group are
+    skipped (see :func:`_choice_orders`).
+    """
+    n = len(ensemble.probs)
+    if n == 0:
+        raise ValidationError("empty ensemble")
+    if n > MAX_N:
+        raise ValidationError("rate_bruteforce handles at most %d states" % MAX_N)
+
+    hmon_cache: dict[tuple, OracleResult] = {}
+    best = None  # (value, order, projection, lengths)
+    for order, key in _choice_orders(ensemble):
         if key not in hmon_cache:
-            hmon_cache[key] = hmon_bruteforce(pprime, min(MAX_CAP, 2 * len(pprime)))
+            hmon_cache[key] = hmon_bruteforce(key, min(MAX_CAP, 2 * len(key)))
         res = hmon_cache[key]
-        cand = (res.value, tuple(order), key, res.witness)
+        cand = (res.value, order, key, res.witness)
         if best is None or cand[0] < best[0]:
             best = cand
     return OracleResult(best[0], (best[1], best[2], best[3]),
@@ -168,39 +179,9 @@ def projections_bruteforce(ensemble) -> set:
     Same permutation sweep as :func:`rate_bruteforce`, returned as a set of
     tuples rounded to 12 decimals for comparison against the codec output.
     """
-    probs = [float(x) for x in ensemble.probs]
-    vecs = [np.asarray(v, dtype=complex) for v in ensemble.vectors]
-    n = len(probs)
-    if n > MAX_N:
+    if len(ensemble.probs) > MAX_N:
         raise ValidationError("projections_bruteforce handles at most %d states" % MAX_N)
-    cols = np.column_stack(vecs)
-
-    rank_cache: dict[frozenset, int] = {}
-
-    def rank_of(idx_set: frozenset) -> int:
-        if idx_set not in rank_cache:
-            rank_cache[idx_set] = _rank(cols[:, sorted(idx_set)])
-        return rank_cache[idx_set]
-
-    out = set()
-    for perm in itertools.permutations(range(n)):
-        consumed: frozenset = frozenset()
-        pprime = []
-        for idx in perm:
-            if idx in consumed:
-                continue
-            span = consumed | {idx}
-            r = rank_of(frozenset(span))
-            members = [idx]
-            for j in range(n):
-                if j == idx or j in consumed:
-                    continue
-                if rank_of(frozenset(span | {j})) == r:
-                    members.append(j)
-            pprime.append(math.fsum(probs[j] for j in sorted(members)))
-            consumed = consumed | set(members)
-        out.add(tuple(round(x, 12) for x in pprime))
-    return out
+    return {tuple(round(x, 12) for x in pprime) for _, pprime in _choice_orders(ensemble)}
 
 
 def prefix_free_bruteforce(vectors):

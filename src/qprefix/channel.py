@@ -44,7 +44,8 @@ from .qstring import EPS, BitString, QubitString, base_length, zero_extended
 MAX_LMAX = 24
 MAX_SUPPORT = 1 << 20
 # Trials are stepped in chunks of about this many (trial x configuration)
-# rows, so memory stays bounded whatever the trial count.
+# rows, and their noise is drawn in blocks of at most this many uniforms,
+# so memory stays bounded whatever the trial count.
 CHUNK_ROWS = 1 << 14
 
 NOISE_KINDS = ("none", "bitflip", "phaseflip", "depolarizing")
@@ -54,6 +55,19 @@ BRANCHES = "IXYZ"
 _X, _Y, _Z = 1, 2, 3
 # i**k for the phase count k (mod 4) that Y and Z branches leave on a row.
 _PHASES = np.array([1, 1j, -1, -1j])
+
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64, whose
+# streams the trials' noise draws reproduce.  The constants are typed numpy
+# scalars, so value-based casting (numpy 1.x) and NEP 50 give the same bits.
+_POOL = 4
+_MASK32, _MASK64, _MOD128 = (1 << 32) - 1, (1 << 64) - 1, 1 << 128
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # mixing entropy into the pool
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,8 @@ class NoiseModel:
             raise ValidationError("unknown noise kind %r" % (self.kind,))
         if self.schedule not in SCHEDULES:
             raise ValidationError("unknown schedule %r" % (self.schedule,))
+        if not math.isfinite(self.q):  # reports print q, and JSON has no NaN
+            raise ValidationError("noise q must be finite")
         if self.kind != "none":
             if self.schedule == "constant" and not 0.0 <= self.q <= 1.0:
                 raise ValidationError("constant noise needs 0 <= q <= 1")
@@ -226,14 +242,155 @@ def _branch_codes(kind: str, qs, u) -> np.ndarray:
             + (u >= 1.0 - 0.25 * q))
 
 
-def _draw_branches(kind: str, qs, seeds) -> np.ndarray:
-    """Branches of one trial per seed: ``default_rng(seed)`` draws one uniform per step."""
-    seeds = list(seeds)
-    u = np.zeros((len(seeds), len(qs)))
-    if kind != "none" and len(qs):
-        for t, seed in enumerate(seeds):
-            u[t] = np.random.default_rng(seed).random(len(qs))
-    return _branch_codes(kind, qs, u)
+def _hash_consts(init: int, mult: int, count: int) -> list:
+    """The SeedSequence hash constants h_0 = init, h_{k+1} = h_k * mult mod 2**32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return [np.uint32(h) for h in out]
+
+
+def _hashmix(value, consts, k: int):
+    # SeedSequence's k-th hashmix call; uint32 arrays wrap mod 2**32.
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_state(entropy: list) -> list:
+    """``SeedSequence(e).generate_state(4, uint64)`` for every row of ``entropy``.
+
+    ``entropy`` holds the rows' little-endian uint32 entropy words as
+    columns (uint32 arrays of equal length, at least one column).  Returns
+    the four uint64 state words as arrays.
+    """
+    width = len(entropy)
+    # hashmix calls: one per pool word, one per ordered pair of distinct
+    # pool words, then one per pool word for each entropy word beyond the pool
+    calls = _POOL * _POOL + _POOL * max(0, width - _POOL)
+    consts = _hash_consts(*_HASH_A, calls)
+    zeros = np.zeros_like(entropy[0])
+    pool = [_hashmix(entropy[i] if i < width else zeros, consts, i) for i in range(_POOL)]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
+                k += 1
+    for src in range(_POOL, width):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[src], consts, k))
+            k += 1
+    consts = _hash_consts(*_HASH_B, 2 * _POOL)
+    out = [_hashmix(pool[i % _POOL], consts, i).astype(np.uint64)
+           for i in range(2 * _POOL)]
+    return [out[2 * m] | (out[2 * m + 1] << _U32) for m in range(_POOL)]
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 arrays."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    t = a1 * b0 + ((a0 * b0) >> _U32)
+    w = (t & _LOW32) + a0 * b1  # < 2**64: no 32-bit partial sum overflows
+    return a1 * b1 + (t >> _U32) + (w >> _U32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) of a * b mod 2**128 on uint64 limbs."""
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _pcg64_jumps(n: int) -> tuple:
+    """(M^(j+2), sum_{k<=j+1} M^k) mod 2**128 for j < n, as uint64 (hi, lo) limbs.
+
+    Seeding leaves PCG64 at (seed + inc) * M + inc and every draw steps
+    once more before its output, so draw j reads the state
+    (seed + inc) * M^(j+2) + inc * sum_{k<=j+1} M^k.
+    """
+    mul, add, cols = _PCG_MULT * _PCG_MULT % _MOD128, 1 + _PCG_MULT, []
+    for _ in range(n):
+        cols.append((mul, add))
+        mul, add = mul * _PCG_MULT % _MOD128, (add * _PCG_MULT + 1) % _MOD128
+    return tuple(np.array([v >> shift & _MASK64 for v in vals], dtype=np.uint64)
+                 for vals in zip(*cols) for shift in (64, 0))
+
+
+_JUMPS = _pcg64_jumps(MAX_LMAX)
+
+
+def _pcg64_uniforms(entropy: list, n: int) -> np.ndarray:
+    """Row r is ``default_rng(seed_r).random(n)``, seed_r given by its entropy words.
+
+    One broadcast over (rows x n): PCG64 takes seed = words 0-1 and
+    inc = (words 2-3 << 1) | 1 of the seed state, each as (hi, lo); each
+    draw is the XSL-RR output of its state, and the double is
+    (x >> 11) * 2**-53.
+    """
+    s_hi, s_lo, i_hi, i_lo = (w[:, None] for w in _seed_state(entropy))
+    i_hi, i_lo = (i_hi << _U1) | (i_lo >> _U63), (i_lo << _U1) | _U1
+    x_lo = s_lo + i_lo
+    x_hi = s_hi + i_hi + (x_lo < s_lo)
+    m_hi, m_lo, a_hi, a_lo = (c[:n] for c in _JUMPS)
+    hi1, lo1 = _mul128(x_hi, x_lo, m_hi, m_lo)
+    hi2, lo2 = _mul128(i_hi, i_lo, a_hi, a_lo)
+    lo = lo1 + lo2
+    hi = hi1 + hi2 + (lo < lo1)
+    rot = hi >> _U58
+    v = hi ^ lo
+    v = (v >> rot) | (v << ((_U64 - rot) & _U63))
+    return (v >> _U11).astype(np.float64) * 2.0 ** -53
+
+
+def _int_words(x: int) -> list:
+    """Little-endian 32-bit words of x >= 0; 0 gives the single word 0."""
+    words = [x & _MASK32]
+    while x >> 32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _uniforms(head: tuple, start: int, stop: int, n: int) -> np.ndarray:
+    """Row v - start is ``default_rng(head + (v,)).random(n)`` for start <= v < stop.
+
+    The entropy of ``head + (v,)`` is the little-endian 32-bit words of each
+    integer, concatenated.  Between multiples of 2**32 only v's lowest word
+    changes, so those rows share a word count and every other word; they
+    are drawn in blocks of at most CHUNK_ROWS draws.
+    """
+    out = np.empty((stop - start, n))
+    if not n:
+        return out
+    fixed = [w for x in head for w in _int_words(x)]
+    block = max(1, CHUNK_ROWS // n)
+    v = start
+    while v < stop:
+        end = min(stop, v + block, (v | _MASK32) + 1)
+        rows = end - v
+        low = np.arange(rows, dtype=np.uint32) + np.uint32(v & _MASK32)
+        upper = _int_words(v >> 32) if v >> 32 else []
+        entropy = ([np.full(rows, w, dtype=np.uint32) for w in fixed] + [low]
+                   + [np.full(rows, w, dtype=np.uint32) for w in upper])
+        out[v - start:end - start] = _pcg64_uniforms(entropy, n)
+        v = end
+    return out
+
+
+def _draw_branches(kind: str, qs, head: tuple, start: int, stop: int) -> np.ndarray:
+    """Branch codes of trials start..stop-1, one column per step.
+
+    Trial v draws ``default_rng(head + (v,)).random(len(qs))``, and
+    ``default_rng((v,))`` is ``default_rng(v)``.  The streams of all trials
+    are computed at once by :func:`_uniforms`, bit for bit, without building
+    a generator per trial.
+    """
+    if kind == "none" or not len(qs):
+        return np.zeros((stop - start, len(qs)), dtype=np.int8)
+    return _branch_codes(kind, qs, _uniforms(head, start, stop, len(qs)))
 
 
 def _evolve(alice, cell, bob, codes, first: int, l_max: int, words: dict):
@@ -341,10 +498,11 @@ def run(message: QubitString, book: CodeBook, l_max: int,
         noise: NoiseModel, trials: int) -> SimulationReport:
     """Monte-Carlo trajectories of the protocol; fidelity is measured on Bob.
 
-    Trial t reseeds its generator at noise.seed + t, so reports are
-    reproducible and trials are independent.  ``disentangled`` reports the
-    zero-noise factorization (Alice and cell back to zero), evaluated on a
-    dedicated noiseless trajectory.
+    Trial t draws one uniform per step from the stream of
+    ``default_rng(noise.seed + t)``, computed for a chunk of trials at once,
+    so reports are reproducible and trials are independent.
+    ``disentangled`` reports the zero-noise factorization (Alice and cell
+    back to zero), evaluated on a dedicated noiseless trajectory.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -357,8 +515,8 @@ def run(message: QubitString, book: CodeBook, l_max: int,
     err_counts = np.zeros(l_max, dtype=np.int64)
     chunk = max(1, CHUNK_ROWS // len(start.amps))
     for t0 in range(0, trials, chunk):
-        seeds = range(noise.seed + t0, noise.seed + min(trials, t0 + chunk))
-        codes = _draw_branches(noise.kind, qs, seeds)
+        codes = _draw_branches(noise.kind, qs, (), noise.seed + t0,
+                               noise.seed + min(trials, t0 + chunk))
         err_counts += np.count_nonzero(codes, axis=0)
         fids += _bob_fidelities(_evolve(*rows, codes, 1, l_max, words), start)
 
@@ -395,7 +553,9 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
 
     Message symbol j is drawn once per trial and sent as word j of each
     book; success means Bob's register holds exactly the zero-extended word.
-    Trial t of book b draws its branches from ``default_rng((seed, b, t))``.
+    Trial t of book b draws its branches from the stream of
+    ``default_rng((seed, b, t))``; the streams of a chunk of trials are
+    computed at once, without building a generator per trial.
     For constant bit-flip noise the closed form sum_j p_j (1-q)^len(w_j) is
     attached for reference (errors after completion cannot reach Bob).
     """
@@ -429,8 +589,7 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
         successes = 0
         for t0 in range(0, trials, CHUNK_ROWS):
             sym = symbols[t0:t0 + CHUNK_ROWS]
-            seeds = ((noise.seed, b_idx, t) for t in range(t0, t0 + len(sym)))
-            codes = _draw_branches(noise.kind, qs, seeds)
+            codes = _draw_branches(noise.kind, qs, (noise.seed, b_idx), t0, t0 + len(sym))
             _, _, b, _ = _evolve(alice[sym, None], cell[sym, None], bob[sym, None],
                                  codes, 1, l_max, words)
             successes += int(np.count_nonzero(b[:, 0] == padded[sym]))

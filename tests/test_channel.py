@@ -36,6 +36,11 @@ def test_noise_model_validation():
         NoiseModel("bitflip", 0.5, "quadratic")
     with pytest.raises(ValidationError):
         NoiseModel("bitflip", 0.5, per_step=(0.5, 2.0))
+    for kind, q, schedule in (("bitflip", math.nan, "linear"),
+                              ("depolarizing", math.inf, "linear"),
+                              ("none", math.nan, "constant")):
+        with pytest.raises(ValidationError):
+            NoiseModel(kind, q, schedule)
 
 
 def test_step_probs_schedules():
@@ -257,6 +262,38 @@ def test_phase_noise_cannot_break_classical_words():
     assert [res.analytic for res in rep.results] == [None, None]
 
 
+# --- the batched noise streams against numpy's generators --------------------
+
+SEED_BASES = (1000, 2**32, 2**64, 2**100)
+BOUNDARY_SEEDS = (0, 2**32 - 1, 2**32, 2**40, 2**64 + 3, 2**96 + 5, 2**100)
+# trial offsets near 0, across 2**32 and across 2**64
+FIRST_TRIALS = st.one_of(st.integers(0, 40), st.integers(2**32 - 12, 2**32 + 2),
+                         st.integers(2**64 - 12, 2**64))
+
+
+@given(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 1), FIRST_TRIALS,
+       st.integers(1, 12), st.integers(0, 24))
+def test_noise_streams_equal_default_rng(seed, b, t0, trials, n):
+    # run's trial t draws from default_rng(seed + t), compare_codes' trial t
+    # of book b from default_rng((seed, b, t)); both bit for bit.
+    ts = range(t0, t0 + trials)
+    got = channel._uniforms((), seed + t0, seed + t0 + trials, n)
+    want = [np.random.default_rng(seed + t).random(n) for t in ts]
+    assert np.array_equal(got, np.reshape(want, (trials, n)))
+    got = channel._uniforms((seed, b), t0, t0 + trials, n)
+    want = [np.random.default_rng((seed, b, t)).random(n) for t in ts]
+    assert np.array_equal(got, np.reshape(want, (trials, n)))
+
+
+def test_noise_streams_cross_word_boundaries_in_blocks():
+    # 700 trials of 24 draws span two blocks of CHUNK_ROWS draws, and the
+    # trial index crosses 2**32 inside the second.
+    t0 = 2**32 - 600
+    got = channel._uniforms((5, 1), t0, t0 + 700, 24)
+    want = [np.random.default_rng((5, 1, t)).random(24) for t in range(t0, t0 + 700)]
+    assert np.array_equal(got, np.array(want))
+
+
 # --- the batched engine against the dict-of-configurations reference ---------
 
 def _rounded(report):
@@ -264,8 +301,12 @@ def _rounded(report):
 
 
 def _noises(rng, steps):
-    """Every noise kind under both schedules and under an explicit schedule."""
-    seed = int(rng.integers(1000))
+    """Every noise kind under both schedules and under an explicit schedule.
+
+    Seeds lie just below 1000, 2**32, 2**64 or 2**100, so run's seed + t
+    can cross into one more entropy word within a run.
+    """
+    seed = SEED_BASES[int(rng.integers(len(SEED_BASES)))] - int(rng.integers(1, 13))
     out = [NoiseModel("none", seed=seed)]
     for kind in ("bitflip", "phaseflip", "depolarizing"):
         out.append(NoiseModel(kind, float(rng.uniform(0.0, 1.0)), seed=seed))

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qprefix import prefix
+from qprefix import NoiseModel, compare_codes_bruteforce, prefix
 from qprefix.cli import main
+from qprefix.serialize import book_from_obj, dist_from_obj, load_json, round_floats
 
 FIX = "fixtures"
 
@@ -148,6 +149,40 @@ def test_compare_matches_module_results(capsys):
     assert books[1]["analytic"] == pytest.approx(0.64, abs=1e-9)
     for b in books:
         assert 0.0 <= b["successRate"] <= 1.0
+
+
+def test_compare_at_a_word_boundary_seed_matches_the_reference(capsys):
+    # 2**32 - 1 is the largest one-word seed; the report must equal the
+    # one-generator-per-trial reference.
+    code, out, _ = run_cli(capsys, "compare",
+                           "--bookA", f"{FIX}/book_compressed.json",
+                           "--bookB", f"{FIX}/book_fixed.json",
+                           "--dist", f"{FIX}/dist_uniform3.json",
+                           "--noise", "depolarizing", "--q", "0.3",
+                           "--trials", "300", "--seed", "4294967295")
+    assert code == 0
+    book_a, book_b = (book_from_obj(load_json(f"{FIX}/{name}.json"))
+                      for name in ("book_compressed", "book_fixed"))
+    probs = dist_from_obj(load_json(f"{FIX}/dist_uniform3.json"))
+    ref = compare_codes_bruteforce(probs, book_a, book_b,
+                                   NoiseModel("depolarizing", 0.3, seed=4294967295), 300)
+    books = json.loads(out)["books"]
+    assert [[b["successRate"], b["stdErr"], b["analytic"]] for b in books] == round_floats(
+        [[r.success_rate, r.std_err, r.analytic] for r in ref.results])
+
+
+def test_non_finite_q_exits_2(capsys):
+    for argv in (["simulate", "--code", f"{FIX}/book_compressed.json",
+                  "--message", f"{FIX}/message_plus.json"],
+                 ["compare", "--bookA", f"{FIX}/book_compressed.json",
+                  "--bookB", f"{FIX}/book_fixed.json", "--dist", f"{FIX}/dist_uniform3.json"]):
+        for schedule in ("linear", "constant"):
+            for q in ("nan", "inf", "-inf"):
+                code, out, err = run_cli(capsys, *argv, "--noise", "bitflip",
+                                         "--schedule", schedule, "--q=" + q,
+                                         "--trials", "3")
+                assert code == 2 and out == ""
+                assert "q" in json.loads(err)["error"]
 
 
 def test_oracle_reports_the_sweep(capsys):
