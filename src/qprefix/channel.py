@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .prefix import DEP_TOL
-from .qstring import EPS, BitString, QubitString, base_length, zero_extended
+from .qstring import EPS, PRUNE_SQ, BitString, QubitString, base_length
 
 # Register length and support caps; the packed configuration keeps
 # 2 * MAX_LMAX + 1 bits, well inside an int64.
@@ -122,24 +123,9 @@ class CodeBook:
     def __post_init__(self):
         if not self.words:
             raise ValidationError("empty code book")
-        seen = set()
-        for w in self.words:
-            if not isinstance(w, BitString):
-                raise ValidationError("code books hold classical bit strings only")
-            if w in seen:
-                raise ValidationError("duplicate code word %r" % w.text)
-            seen.add(w)
-        # The words a word prefixes follow it directly in text order, so
-        # adjacent pairs decide; the full scan only names the first pair.
-        ordered = sorted(self.words, key=lambda w: w.text)
-        if any(a.is_prefix_of(b) for a, b in zip(ordered, ordered[1:])):
-            for a in self.words:
-                for b in self.words:
-                    if a != b and a.is_prefix_of(b):
-                        raise ValidationError("book is not prefix-free: %r prefixes %r"
-                                              % (a.text, b.text))
-        if len(self.words) > 1 and any(w.length == 0 for w in self.words):
-            raise ValidationError("the empty word is only allowed as the sole word")
+        if not (all(isinstance(w, BitString) for w in self.words)
+                and _prefix_free_in_text_order(self.words)):
+            _raise_first_fault(self.words)
 
     @classmethod
     def from_texts(cls, texts) -> "CodeBook":
@@ -148,6 +134,55 @@ class CodeBook:
     @property
     def max_length(self) -> int:
         return max(w.length for w in self.words)
+
+    @cached_property
+    def _keys(self) -> frozenset:
+        """Each word packed as one integer, 1 << length | value."""
+        return frozenset((1 << w.length) | w.value for w in self.words)
+
+    @cached_property
+    def _by_length(self) -> dict:
+        """Word values as sorted int64 arrays keyed by length.
+
+        Words longer than MAX_LMAX cannot complete a register and are left out.
+        """
+        out: dict = {}
+        for w in self.words:
+            if w.length <= MAX_LMAX:
+                out.setdefault(w.length, []).append(w.value)
+        return {k: np.sort(np.array(v, dtype=np.int64)) for k, v in out.items()}
+
+
+def _prefix_free_in_text_order(words) -> bool:
+    """True when no word equals or prefixes another.
+
+    In text order (values left-aligned to the longest word, then length) a
+    word's copies and extensions directly follow it, so adjacent pairs decide.
+    """
+    lengths = [w.length for w in words]
+    values = [w.value for w in words]
+    top = max(lengths)
+    order = sorted(range(len(words)),
+                   key=lambda k: (values[k] << (top - lengths[k]), lengths[k]))
+    return not any(lengths[a] <= lengths[b]
+                   and values[b] >> (lengths[b] - lengths[a]) == values[a]
+                   for a, b in zip(order, order[1:]))
+
+
+def _raise_first_fault(words) -> None:
+    """Name the first bad word or duplicate, else prefix pair, in book order."""
+    seen = set()
+    for w in words:
+        if not isinstance(w, BitString):
+            raise ValidationError("code books hold classical bit strings only")
+        if w in seen:
+            raise ValidationError("duplicate code word %r" % w.text)
+        seen.add(w)
+    for a in words:
+        for b in words:
+            if a != b and a.is_prefix_of(b):
+                raise ValidationError("book is not prefix-free: %r prefixes %r"
+                                      % (a.text, b.text))
 
 
 class ChannelState:
@@ -204,28 +239,42 @@ def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelSta
     """Load Alice with the zero-extended message; cell and Bob start at zero.
 
     The message must be normalized and lie in the span of the book's code
-    words; superpositions of words are explicitly allowed.
+    words; superpositions of words are explicitly allowed.  The rows follow
+    :func:`~qprefix.qstring.zero_extended`: terms that pad to the same
+    register add up in term order, in the order their registers first
+    occur, and sums below ``PRUNE_SQ`` are dropped.
     """
     if not message.is_normalized():
         raise ValidationError("message must be normalized")
     if base_length(message) > l_max:
         raise ValidationError("message does not fit into l_max qubits")
-    words = frozenset(book.words)
-    off = math.fsum(abs(a) ** 2 for s, a in message.items_sorted() if s not in words)
+    terms = message.terms
+    keys = book._keys
+    off = math.fsum(abs(a) ** 2 for s, a in terms.items()
+                    if ((1 << s.length) | s.value) not in keys)
     if math.sqrt(off) >= DEP_TOL:
         raise ValidationError("message lies outside the span of the code words")
-    padded = zero_extended(message, l_max)
-    zeros = BitString(l_max, 0)
-    joint = {(s, 0, zeros): a for s, a in padded.terms.items()}
-    return ChannelState(l_max, book, joint)
-
-
-def _words_by_length(book: CodeBook) -> dict:
-    """The book's code words as packed integers, keyed by word length."""
-    out: dict = {}
-    for w in book.words:
-        out.setdefault(w.length, []).append(w.value)
-    return {k: np.array(v, dtype=np.int64) for k, v in out.items()}
+    if not 0 <= l_max <= MAX_LMAX:
+        raise ValidationError("l_max must lie in [0, %d]" % MAX_LMAX)
+    # Terms that pad onto one register add up in term order, as in
+    # zero_extended; only a term outside the book can collide.
+    padded: dict = {}
+    for s, a in terms.items():
+        v = s.value << (l_max - s.length)
+        padded[v] = padded.get(v, 0j) + a
+    amps = np.fromiter(padded.values(), dtype=complex, count=len(padded))
+    keep = amps.real * amps.real + amps.imag * amps.imag >= PRUNE_SQ
+    alice = np.fromiter(padded, dtype=np.int64, count=len(padded))[keep]
+    amps = amps[keep]
+    if len(amps) > MAX_SUPPORT:
+        raise ValidationError("joint support exceeds %d configurations" % MAX_SUPPORT)
+    # Without collisions the rows carry the message's amplitudes, whose
+    # norm passed above; sums and prunes can move it.
+    if (len(padded) < len(terms)
+            and abs(math.fsum(abs(a) ** 2 for a in amps.tolist()) - 1.0) > EPS):
+        raise ValidationError("joint state must stay normalized")
+    zeros = np.zeros(len(amps), dtype=np.int64)
+    return ChannelState._from_rows(l_max, book, alice, zeros, zeros.copy(), amps)
 
 
 def _branch_codes(kind: str, qs, u) -> np.ndarray:
@@ -242,17 +291,21 @@ def _branch_codes(kind: str, qs, u) -> np.ndarray:
             + (u >= 1.0 - 0.25 * q))
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list:
-    """The SeedSequence hash constants h_0 = init, h_{k+1} = h_k * mult mod 2**32."""
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The SeedSequence hash constants h_0 = init, h_{k+1} = h_k * mult mod 2**32.
+
+    A uint32 column, so a slice of it broadcasts over rows.
+    """
     out = [init]
     for _ in range(count):
         out.append(out[-1] * mult & _MASK32)
-    return [np.uint32(h) for h in out]
+    return np.array(out, dtype=np.uint32)[:, None]
 
 
-def _hashmix(value, consts, k: int):
-    # SeedSequence's k-th hashmix call; uint32 arrays wrap mod 2**32.
-    value = (value ^ consts[k]) * consts[k + 1]
+def _hashmix(value, consts, k: int, n: int):
+    # SeedSequence's hashmix calls k .. k + n - 1, one per row of the result
+    # (``value`` is one row, or n rows); uint32 arrays wrap mod 2**32.
+    value = (value ^ consts[k:k + n]) * consts[k + 1:k + n + 1]
     return value ^ (value >> _XSHIFT)
 
 
@@ -261,34 +314,34 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _seed_state(entropy: list) -> list:
+def _seed_state(entropy: list) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` for every row of ``entropy``.
 
     ``entropy`` holds the rows' little-endian uint32 entropy words as
     columns (uint32 arrays of equal length, at least one column).  Returns
-    the four uint64 state words as arrays.
+    the four uint64 state words as the rows of one array.
     """
     width = len(entropy)
     # hashmix calls: one per pool word, one per ordered pair of distinct
     # pool words, then one per pool word for each entropy word beyond the pool
     calls = _POOL * _POOL + _POOL * max(0, width - _POOL)
     consts = _hash_consts(*_HASH_A, calls)
-    zeros = np.zeros_like(entropy[0])
-    pool = [_hashmix(entropy[i] if i < width else zeros, consts, i) for i in range(_POOL)]
+    words = np.zeros((_POOL, len(entropy[0])), dtype=np.uint32)
+    words[:width] = entropy[:_POOL]
+    pool = _hashmix(words, consts, 0, _POOL)
     k = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
-                k += 1
+        # word src mixes into the other words in order; it does not change
+        # meanwhile, so one call per source covers them all
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, _POOL - 1))
+        k += _POOL - 1
     for src in range(_POOL, width):
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(entropy[src], consts, k))
-            k += 1
+        pool = _mix(pool, _hashmix(entropy[src], consts, k, _POOL))
+        k += _POOL
     consts = _hash_consts(*_HASH_B, 2 * _POOL)
-    out = [_hashmix(pool[i % _POOL], consts, i).astype(np.uint64)
-           for i in range(2 * _POOL)]
-    return [out[2 * m] | (out[2 * m + 1] << _U32) for m in range(_POOL)]
+    out = _hashmix(np.tile(pool, (2, 1)), consts, 0, 2 * _POOL).astype(np.uint64)
+    return out[0::2] | (out[1::2] << _U32)
 
 
 def _mulhi64(a, b):
@@ -398,49 +451,59 @@ def _evolve(alice, cell, bob, codes, first: int, l_max: int, words: dict):
 
     ``alice``, ``cell`` and ``bob`` broadcast against (trials, 1); column j
     of ``codes`` holds every trial's branch at step first + j.  Returns the
-    (alice, cell, bob, phase) arrays; a row's amplitude has gained i**phase.
+    (alice, cell, bob) arrays; :func:`_phases` gives the amplitudes' phases.
     """
     shape = np.broadcast_shapes(np.shape(alice), (codes.shape[0], 1))
     a, c, b = (np.broadcast_to(x, shape).copy() for x in (alice, cell, bob))
-    phase = np.zeros(shape, dtype=np.int64)
-    done = np.zeros(shape, dtype=bool)
+    live = np.ones(shape, dtype=bool)
 
     def complete(k):
         # Bob's first k bits are final once step k is over, so a word of
         # length k completes him for good: the flag is sticky.
         if k in words:
-            done[...] |= np.isin(b >> (l_max - k), words[k])
+            head = b >> (l_max - k)
+            found = np.take(words[k], np.searchsorted(words[k], head), mode="clip")
+            live[...] &= found != head
 
     for k in range(first - 1):
         complete(k)
     flip = (codes == _X) | (codes == _Y)
-    signs = (codes == _Y) | (codes == _Z)
-    quarter = codes == _Y
     for j in range(codes.shape[1]):
         i = first + j
         shift = l_max - i
         complete(i - 1)
-        # Alice swaps her i-th qubit with the cell.
-        d = ((a >> shift) & 1) ^ c
-        a ^= d << shift
-        c ^= d
-        # The branch: X flips the cell, Z signs |1>, Y maps |0> to i|1>
-        # and |1> to -i|0>.
-        phase += 2 * c * signs[:, j, None] + quarter[:, j, None]
-        c ^= flip[:, j, None]
+        # Until step i, Alice's and Bob's i-th qubits are as they came in.
+        x = (alice >> shift) & 1
+        # Alice swaps her i-th qubit with the cell; X and Y flip the cell.
+        a ^= (c ^ x) << shift
+        c = x ^ flip[:, j, None]
         # Bob swaps his i-th qubit with the cell unless he is complete.
-        d = (((b >> shift) & 1) ^ c) & ~done
+        d = (c ^ ((bob >> shift) & 1)) & live
         b ^= d << shift
         c ^= d
-    return a, c, b, phase
+    return a, c, b
+
+
+def _phases(alice, codes, first: int, l_max: int) -> np.ndarray:
+    """Phase count k (amplitude factor i**k) of each (trial, row of ``alice``).
+
+    When step i's branch acts, the cell holds Alice's i-th qubit as it came
+    in, whatever Bob does: Z signs |1> (k += 2 bit), and Y maps |0> to i|1>
+    and |1> to -i|0> (k += 1 + 2 bit).  One integer product sums the steps.
+    """
+    shifts = l_max - np.arange(first, first + codes.shape[1])
+    bits = (alice >> shifts[:, None]) & 1
+    signs = ((codes == _Y) | (codes == _Z)).astype(np.int64)
+    return 2 * (signs @ bits) + np.count_nonzero(codes == _Y, axis=1)[:, None]
 
 
 def _apply_step(state: ChannelState, i: int, branch: str) -> ChannelState:
     if not 1 <= i <= state.l_max:
         raise ValidationError("step index out of range")
     codes = np.array([[BRANCHES.index(branch)]], dtype=np.int8)
-    a, c, b, phase = _evolve(state.alice, state.cell, state.bob, codes, i,
-                             state.l_max, _words_by_length(state.book))
+    a, c, b = _evolve(state.alice, state.cell, state.bob, codes, i,
+                      state.l_max, state.book._by_length)
+    phase = _phases(state.alice, codes, i, state.l_max)
     return ChannelState._from_rows(state.l_max, state.book, a[0], c[0], b[0],
                                    state.amps * _PHASES[phase[0] & 3])
 
@@ -455,7 +518,7 @@ def protocol_step(state: ChannelState, i: int, noise: NoiseModel, rng) -> Channe
     return _apply_step(state, i, BRANCHES[code])
 
 
-def _bob_fidelities(rows, start: ChannelState) -> list:
+def _bob_fidelities(rows, phase, start: ChannelState) -> list:
     """<message| rho_Bob |message> for each trial (row) of ``rows``.
 
     The zero-extended message is Alice's start register, so ``start`` holds
@@ -463,7 +526,7 @@ def _bob_fidelities(rows, start: ChannelState) -> list:
     sums conj(target(b)) * amp over each (Alice, cell) group, in row order,
     and adds the squared magnitudes of the group sums.
     """
-    a, c, b, phase = rows
+    a, c, b = rows
     order = np.argsort(start.alice)
     t_val, t_amp = start.alice[order], start.amps[order]
     pos = np.minimum(np.searchsorted(t_val, b), len(t_val) - 1)
@@ -479,10 +542,12 @@ def _bob_fidelities(rows, start: ChannelState) -> list:
                                 return_inverse=True)
     sum_re = np.bincount(inverse, weights=re, minlength=len(groups))
     sum_im = np.bincount(inverse, weights=im, minlength=len(groups))
-    terms = [[] for _ in range(phase.shape[0])]
-    for k, x, y in zip((groups >> shift).tolist(), sum_re.tolist(), sum_im.tolist()):
-        terms[k].append(abs(complex(x, y)) ** 2)
-    return [math.fsum(ts) for ts in terms]
+    # abs(complex(x, y)) is hypot(x, y); Python's ** 2 (pow) is kept, since
+    # h * h can differ from it in the last bit.
+    squares = [h ** 2 for h in np.hypot(sum_re, sum_im).tolist()]
+    # groups are sorted, so each trial's groups are one run
+    ends = np.searchsorted(groups >> shift, np.arange(phase.shape[0] + 1)).tolist()
+    return [math.fsum(squares[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 @dataclass(frozen=True)
@@ -502,13 +567,13 @@ def run(message: QubitString, book: CodeBook, l_max: int,
     ``default_rng(noise.seed + t)``, computed for a chunk of trials at once,
     so reports are reproducible and trials are independent.
     ``disentangled`` reports the zero-noise factorization (Alice and cell
-    back to zero), evaluated on a dedicated noiseless trajectory.
+    back to zero), evaluated on a noiseless trajectory that rides along in
+    the first chunk as one all-identity row.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
     start = init_channel(message, book, l_max)
     qs = noise.step_probs(l_max)
-    words = _words_by_length(book)
     rows = (start.alice, start.cell, start.bob)
 
     fids = []
@@ -518,7 +583,13 @@ def run(message: QubitString, book: CodeBook, l_max: int,
         codes = _draw_branches(noise.kind, qs, (), noise.seed + t0,
                                noise.seed + min(trials, t0 + chunk))
         err_counts += np.count_nonzero(codes, axis=0)
-        fids += _bob_fidelities(_evolve(*rows, codes, 1, l_max, words), start)
+        if t0 == 0:
+            codes = np.concatenate([np.zeros((1, l_max), dtype=np.int8), codes])
+        a, c, b = _evolve(*rows, codes, 1, l_max, book._by_length)
+        if t0 == 0:
+            stray = start.amps[(a[0] != 0) | (c[0] != 0)]
+            a, c, b, codes = a[1:], c[1:], b[1:], codes[1:]
+        fids += _bob_fidelities((a, c, b), _phases(start.alice, codes, 1, l_max), start)
 
     mean = math.fsum(fids) / trials
     if trials > 1:
@@ -526,9 +597,6 @@ def run(message: QubitString, book: CodeBook, l_max: int,
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
-
-    a, c, _, _ = _evolve(*rows, np.zeros((1, l_max), dtype=np.int8), 1, l_max, words)
-    stray = start.amps[((a != 0) | (c != 0))[0]]
     disentangled = math.sqrt(math.fsum(abs(x) ** 2 for x in stray.tolist())) <= EPS
 
     return SimulationReport(trials, mean, stderr, tuple(err_counts.tolist()), disentangled)
@@ -576,7 +644,6 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
     for b_idx, book in enumerate((book_a, book_b)):
         l_max = book.max_length
         qs = noise.step_probs(l_max) if l_max else ()
-        words = _words_by_length(book)
         # A word message is a single configuration with amplitude 1, so a
         # trial succeeds when Bob ends up holding the padded word.  Each
         # word sent is validated once.
@@ -590,8 +657,8 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
         for t0 in range(0, trials, CHUNK_ROWS):
             sym = symbols[t0:t0 + CHUNK_ROWS]
             codes = _draw_branches(noise.kind, qs, (noise.seed, b_idx), t0, t0 + len(sym))
-            _, _, b, _ = _evolve(alice[sym, None], cell[sym, None], bob[sym, None],
-                                 codes, 1, l_max, words)
+            _, _, b = _evolve(alice[sym, None], cell[sym, None], bob[sym, None],
+                              codes, 1, l_max, book._by_length)
             successes += int(np.count_nonzero(b[:, 0] == padded[sym]))
         rate = successes / trials
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)

@@ -157,7 +157,7 @@ def kraft_chain(basis: PrefixBasis) -> KraftChain:
     s_base = math.fsum(2.0 ** (-base_length(v)) for v in vecs)
     s_avg = math.fsum(2.0 ** (-avg_length(v)) for v in vecs)
     trace = math.fsum(abs(a) ** 2 * 2.0 ** (-s.length)
-                      for v in vecs for s, a in v.items_sorted())
+                      for v in vecs for s, a in v.terms.items())
     return KraftChain(s_base, s_avg, trace)
 
 

@@ -21,6 +21,7 @@ All values are immutable; every operation returns a fresh object.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import ValidationError
@@ -51,9 +52,15 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        if not isinstance(text, str) or any(c not in "01" for c in text):
-            raise ValidationError("bit string text must consist of 0s and 1s: %r" % text)
-        return cls(len(text), int(text, 2) if text else 0)
+        _check_text(text)
+        return cls._from_checked(text)
+
+    @classmethod
+    def _from_checked(cls, text: str) -> "BitString":
+        # text has passed _check_text, so the value fits its length
+        bits = cls.__new__(cls)
+        bits.length, bits.value = len(text), int(text, 2) if text else 0
+        return bits
 
     @property
     def text(self) -> str:
@@ -106,6 +113,16 @@ class BitString:
 LAMBDA = BitString(0, 0)
 
 
+def _check_text(text) -> None:
+    """Reject anything but 0/1 text.
+
+    ``int(text, 2)`` alone would also take signs, underscores, whitespace,
+    a ``0b`` prefix and non-ASCII digits.
+    """
+    if not isinstance(text, str) or text.strip("01"):
+        raise ValidationError("bit string text must consist of 0s and 1s: %r" % text)
+
+
 def _as_bits(s) -> BitString:
     if isinstance(s, BitString):
         return s
@@ -133,8 +150,19 @@ class QubitString:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise ValidationError("amplitudes must be finite")
             acc[s] = acc.get(s, 0j) + a
-        self._terms = {s: a for s, a in acc.items()
-                       if (a.real * a.real + a.imag * a.imag) >= PRUNE_SQ}
+        self._terms = _pruned(acc)
+
+    @classmethod
+    def _from_sums(cls, sums: dict) -> "QubitString":
+        """From already merged ``{BitString: complex}`` sums: check, then prune.
+
+        The new string takes ``sums`` over and prunes it in place.
+        """
+        if not all(map(cmath.isfinite, sums.values())):
+            raise ValidationError("amplitudes must be finite")
+        psi = cls.__new__(cls)
+        psi._terms = _pruned(sums)
+        return psi
 
     @property
     def terms(self) -> dict:
@@ -148,8 +176,9 @@ class QubitString:
         return [(s, self._terms[s]) for s in self.support()]
 
     def norm_sq(self) -> float:
+        # fsum is correctly rounded, so the terms' order does not matter
         try:
-            return math.fsum(abs(a) ** 2 for _, a in self.items_sorted())
+            return math.fsum(abs(a) ** 2 for a in self._terms.values())
         except OverflowError:  # finite amplitudes whose squares overflow
             return math.inf
 
@@ -191,6 +220,13 @@ class QubitString:
         return "QubitString({%s})" % inside
 
 
+def _pruned(acc: dict) -> dict:
+    """Drop, in place, the sums whose squared magnitude is below PRUNE_SQ."""
+    for s in [s for s, a in acc.items() if a.real * a.real + a.imag * a.imag < PRUNE_SQ]:
+        del acc[s]
+    return acc
+
+
 def ket(bits, amplitude=1.0) -> QubitString:
     """The basis string |bits> scaled by ``amplitude``."""
     return QubitString({_as_bits(bits): amplitude})
@@ -207,7 +243,7 @@ def avg_length(psi: QubitString) -> float:
     """Expected string length <psi| Lambda |psi>; requires a normalized state."""
     if not psi.is_normalized():
         raise ValidationError("average length is defined for normalized states only")
-    return math.fsum(abs(a) ** 2 * s.length for s, a in psi.items_sorted())
+    return math.fsum(abs(a) ** 2 * s.length for s, a in psi.terms.items())
 
 
 def inner(psi: QubitString, phi: QubitString) -> complex:

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import CodeBook
 from .codec import Ensemble, LosslessCode, SequentialProjection
 from .errors import ValidationError
-from .qstring import BitString, QubitString
+from .qstring import BitString, QubitString, _check_text
 
 
 def load_json(path):
@@ -63,14 +63,16 @@ def qstring_to_obj(psi: QubitString) -> dict:
 
 
 def qstring_from_obj(obj) -> QubitString:
+    """Sum the terms per bit string in input order, then prune the sums."""
     terms = _as_list(_require(obj, "terms", "qubit string"), "qubit string terms")
     acc = {}
     for t in terms:
-        bits = BitString.from_text(_require(t, "bits", "qubit string term"))
+        text = _require(t, "bits", "qubit string term")
+        _check_text(text)
         amp = complex(_as_float(t.get("re", 0.0), "amplitude"),
                       _as_float(t.get("im", 0.0), "amplitude"))
-        acc[bits] = acc.get(bits, 0j) + amp
-    return QubitString(acc)
+        acc[text] = acc.get(text, 0j) + amp
+    return QubitString._from_sums({BitString._from_checked(s): a for s, a in acc.items()})
 
 
 def vector_to_obj(vec) -> dict:

@@ -13,8 +13,9 @@ from qprefix import (BitString, ChannelState, CodeBook, NoiseModel,
                      QubitString, ValidationError, channel, compare_codes,
                      compare_codes_bruteforce, init_channel, ket,
                      protocol_step, run, run_bruteforce)
-from qprefix.bruteforce import _sample_branch
+from qprefix.bruteforce import _channel_start, _sample_branch
 from qprefix.channel import _apply_step
+from qprefix.qstring import EPS
 from qprefix.serialize import round_floats
 
 BOOK = CodeBook.from_texts(["0", "10", "11"])
@@ -75,6 +76,33 @@ def test_invalid_books_name_the_first_pair_in_book_order():
         CodeBook.from_texts(["1", ""])
 
 
+def test_books_with_words_beyond_an_int64_keep_their_messages():
+    long0, long1 = "1" * 70 + "0", "1" * 70 + "1"
+    book = CodeBook.from_texts(["0", "10", "110", long0, long1])
+    assert book.max_length == 71
+    cases = ((["0", long0, "10", long0], "duplicate code word %r" % long0),
+             (["0", "1" * 64, "10", long1], "book is not prefix-free: %r prefixes %r"
+              % ("1" * 64, long1)),
+             ([long0, "0", "1" * 70], "book is not prefix-free: %r prefixes %r"
+              % ("1" * 70, long0)),
+             ([long1, ""], "book is not prefix-free: '' prefixes %r" % long1))
+    for texts, message in cases:
+        with pytest.raises(ValidationError) as err:
+            CodeBook.from_texts(texts)
+        assert str(err.value) == message
+    # the register is capped long before a word overflows an int64
+    with pytest.raises(ValidationError, match=r"^l_max must lie in \[0, 24\]$"):
+        run(ket("10"), book, 71, NONE, 1)
+    with pytest.raises(ValidationError, match=r"^l_max must lie in \[0, 24\]$"):
+        compare_codes((0.2,) * 5, book, book, NONE, 3)
+    with pytest.raises(ValidationError, match=r"^l_max must lie in \[0, 24\]$"):
+        init_channel(ket("10"), book, 10**9)  # rejected before any padding
+    # words longer than the register can never complete it
+    noise = NoiseModel("depolarizing", 0.5, seed=3)
+    assert run(ket("10"), book, 3, noise, 20) == run(
+        ket("10"), CodeBook.from_texts(["0", "10", "110"]), 3, noise, 20)
+
+
 @given(st.integers(0, 2**30))
 def test_book_check_matches_the_pairwise_scan(seed):
     rng = np.random.default_rng(seed)
@@ -107,6 +135,57 @@ def test_init_channel_shapes_the_joint():
         init_channel(ket("110"), BOOK, 2)  # does not fit
     with pytest.raises(ValidationError):
         init_channel(ket("01"), BOOK, 2)  # outside the span of the words
+
+
+@given(st.integers(0, 2**30))
+def test_start_rows_match_the_reference_start(seed):
+    # Strays off the span (far below DEP_TOL) may pad onto a word's register
+    # or onto each other; their amplitudes then add in term order, and an
+    # exact cancellation is pruned, as in the reference's zero_extended.
+    rng = np.random.default_rng(seed)
+    words = random_prefix_code(rng, int(rng.integers(2, 12)), max_len=5,
+                               full=bool(rng.integers(2)))
+    book = CodeBook(tuple(words))
+    l_max = book.max_length + int(rng.integers(0, 3))
+    terms = dict(_superposed(rng, words).terms)
+    for _ in range(int(rng.integers(0, 5))):
+        w = words[int(rng.integers(len(words)))]
+        cut = int(rng.integers(0, w.length + 1))
+        s = (w.prefix(cut) if rng.random() < 0.5
+             else w.concat(BitString(int(rng.integers(1, 3)), 0)))
+        if s in book.words or s.length > l_max:
+            continue
+        amp = 10.0 ** rng.uniform(-12, -9) * np.exp(2j * np.pi * rng.random())
+        terms[s] = amp
+        if rng.random() < 0.3 and s.length < l_max:
+            zero = s.concat(BitString(1, 0))
+            if zero not in book.words and zero not in terms:
+                terms[zero] = -amp  # pads onto s's register and cancels it
+    keys = list(terms)
+    message = QubitString({keys[k]: terms[keys[k]] for k in rng.permutation(len(keys))})
+    reference = _channel_start(message, l_max)
+    try:
+        state = init_channel(message, book, l_max)
+    except ValidationError as err:
+        # a stray can lift the padded norm by more than EPS; nothing else fails
+        assert str(err) == "joint state must stay normalized"
+        assert abs(math.fsum(abs(a) ** 2 for a in reference.values()) - 1.0) > EPS
+        return
+    assert list(zip(state.alice.tolist(), state.cell.tolist(), state.bob.tolist())) == [
+        (a.value, c, b.value) for a, c, b in reference]
+    assert state.amps.tolist() == list(reference.values())
+
+
+def test_start_rows_sum_a_stray_into_its_words_register():
+    book = CodeBook.from_texts(["0", "10", "11"])
+    message = QubitString({"0": 0.6, "1": 1e-9j, "10": 0.8})  # "1" pads onto "10"
+    state = init_channel(message, book, 2)
+    assert state.alice.tolist() == [0b00, 0b10]
+    assert state.amps.tolist() == [0.6, 0.8 + 1e-9j]
+    assert state.amps.tolist() == list(_channel_start(message, 2).values())
+    lifted = QubitString({"0": 0.6, "1": 1e-8, "10": 0.8})  # norm moves by 1.6e-8
+    with pytest.raises(ValidationError, match=r"^joint state must stay normalized$"):
+        init_channel(lifted, book, 2)
 
 
 def test_channel_state_validation():

@@ -317,3 +317,36 @@ def test_negative_seed_exits_2(capsys):
         code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--trials", "3")
         assert code == 2 and out == ""
         assert "seed" in json.loads(err)["error"]
+
+
+def test_bit_text_that_int_would_parse_exits_2(capsys, tmp_path):
+    for text in ("1_0", " 1", "+1", "0b1", "１"):
+        terms = [{"bits": text, "re": 1.0}]
+        msg = _write(tmp_path / "msg.json", {"terms": terms})
+        basis = _write(tmp_path / "basis.json", {"vectors": [{"terms": terms}]})
+        for argv in (["simulate", "--code", f"{FIX}/book_compressed.json",
+                      "--message", msg, "--trials", "3"],
+                     ["verify", "--basis", basis]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == (
+                "bit string text must consist of 0s and 1s: %r" % text)
+
+
+def test_books_with_64_bit_words_exit_2(capsys, tmp_path):
+    words = ["0", "10", "11" + "0" * 62, "11" + "1" * 62]
+    book = _write(tmp_path / "book.json", {"words": words})
+    dist = _write(tmp_path / "dist.json", {"probs": [0.25] * 4})
+    msg = _write(tmp_path / "msg.json", {"terms": [{"bits": "10", "re": 1.0}]})
+    for argv in (["simulate", "--code", book, "--message", msg],
+                 ["compare", "--bookA", book, "--bookB", book, "--dist", dist]):
+        code, out, err = run_cli(capsys, *argv, "--trials", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "l_max must lie in [0, 24]"
+    for bad, error in (([words[2], "0", words[2]], "duplicate code word %r" % words[2]),
+                       (["0", "1" * 64, "1" * 65],
+                        "book is not prefix-free: %r prefixes %r" % ("1" * 64, "1" * 65))):
+        book = _write(tmp_path / "bad.json", {"words": bad})
+        code, out, err = run_cli(capsys, "simulate", "--code", book, "--message", msg)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import CHI, PHI, PSI, random_prefix_code, random_qstring
-from qprefix import (BitString, QubitString, ValidationError, avg_length,
-                     base_length, concat, inner, ket, zero_extended)
+from helpers import (CHI, PHI, PSI, random_prefix_code, random_qstring,
+                     rotated_basis)
+from qprefix import (BitString, PrefixBasis, QubitString, ValidationError,
+                     avg_length, base_length, concat, inner, ket, kraft_chain,
+                     zero_extended)
 
 bits_text = st.text(alphabet="01", max_size=10)
 
@@ -29,6 +31,9 @@ def test_bitstring_text_round_trip_random(text):
 def test_bitstring_rejects_garbage():
     with pytest.raises(ValidationError):
         BitString.from_text("012")
+    for text in ("1_0", " 1", "1 ", "+1", "-1", "0b1", "\uff11", "\u0661", None, 1):
+        with pytest.raises(ValidationError):  # int(text, 2) takes several
+            BitString.from_text(text)
     with pytest.raises(ValidationError):
         BitString(-1, 0)
     with pytest.raises(ValidationError):
@@ -201,3 +206,28 @@ def test_concat_of_length_eigenvectors_adds_average_lengths(seed):
     y = QubitString({BitString(l_y, v): complex(rng.normal(), rng.normal())
                      for v in range(1 << l_y)}).normalized()
     assert avg_length(concat(x, y)) == pytest.approx(l_x + l_y, abs=1e-9)
+
+
+@given(st.integers(0, 2**30))
+def test_exact_sums_ignore_insertion_order(seed):
+    # norm_sq, avg_length and the Kraft trace term use math.fsum, which is
+    # correctly rounded, so they need no sorted support
+    rng = np.random.default_rng(seed)
+    words = random_prefix_code(rng, int(rng.integers(2, 24)), max_len=7)
+    basis = rotated_basis(rng, words)
+    scales = 10.0 ** rng.uniform(-5, 0, size=len(words))
+    spread = QubitString({w: a * scales[k]
+                          for k, (w, a) in enumerate(basis[0].terms.items())})
+
+    def shuffled(psi):
+        items = list(psi.terms.items())
+        return QubitString(dict(items[k] for k in rng.permutation(len(items))))
+
+    for v in basis + [spread, spread.normalized()]:
+        w = shuffled(v)
+        assert w.terms == v.terms
+        assert w.norm_sq() == v.norm_sq()
+        if v.is_normalized():
+            assert avg_length(w) == avg_length(v)
+    mixed = PrefixBasis.from_certified([shuffled(v) for v in basis])
+    assert kraft_chain(mixed) == kraft_chain(PrefixBasis.from_certified(basis))
