@@ -5,6 +5,10 @@ rounded to 12 decimals, keys sorted, so identical inputs and seed produce
 byte-identical output), and echoes its resolved configuration under
 "config".  Exit codes: 0 success, 2 validation problem, 1 internal error;
 errors are mirrored as {"error": ...} on stderr.
+
+The argument parser is built once, when the module is imported, and holds
+no functions: :func:`main` dispatches subcommand ``X`` to the module's
+``cmd_X`` by name at call time.
 """
 
 from __future__ import annotations
@@ -169,40 +173,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check a basis for prefix-freedom")
     p.add_argument("--basis", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("rate", help="build the optimal code for an ensemble")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--all-projections", action="store_true")
-    p.set_defaults(func=cmd_rate)
 
     p = subs.add_parser("encode", help="encode an ambient vector")
     p.add_argument("--code", required=True)
     p.add_argument("--vector", required=True)
-    p.set_defaults(func=cmd_encode)
 
     p = subs.add_parser("decode", help="decode a qubit string")
     p.add_argument("--code", required=True)
     p.add_argument("--qstring", required=True)
-    p.set_defaults(func=cmd_decode)
 
     p = subs.add_parser("simulate", help="run the always-open channel")
     p.add_argument("--code", required=True)
     p.add_argument("--message", required=True)
     p.add_argument("--lmax", type=int, default=None)
     _add_noise_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("compare", help="race two code books under noise")
     p.add_argument("--bookA", required=True)
     p.add_argument("--bookB", required=True)
     p.add_argument("--dist", required=True)
     _add_noise_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("oracle", help="brute-force rate cross-check")
     p.add_argument("--ensemble", required=True)
-    p.set_defaults(func=cmd_oracle)
 
     for sub in subs.choices.values():
         sub.add_argument("--output", default=None,
@@ -210,14 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.func(args)
+        # looked up per call, so wrappers bound to the name are called
+        report = globals()["cmd_" + args.command](args)
     except ValidationError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .qstring import (EPS, BitString, QubitString, avg_length, base_length,
-                      inner)
+from .qstring import EPS, BitString, avg_length, base_length
 
 # Residual norm below which a vector counts as linearly dependent.
 DEP_TOL = 1e-7
@@ -54,13 +53,38 @@ class KraftChain:
             raise ValidationError("Kraft chain ordering violated: %r" % (self,))
 
 
+def _packed(v) -> dict:
+    """The terms of ``v`` keyed by ``1 << length | value``.
+
+    Sorted keys run in (length, value) order, and the concatenation x * s
+    of a packed x with an s of t bits is ``x << t | s.value``.
+    """
+    return {(1 << s.length) | s.value: a for s, a in v.terms.items()}
+
+
+def _overlap(items, other: dict) -> complex:
+    """Sum of conj(a) * other[k] over the sorted packed ``items`` (k, a)."""
+    acc = 0j
+    for k, a in items:
+        b = other.get(k)
+        if b is not None:
+            acc += a.conjugate() * b
+    return acc
+
+
 def _orthonormality_defect(vectors) -> float:
+    # <u|v> runs over the smaller support in (length, value) order, as
+    # qstring.inner does, so every defect is the same float
+    packed = [_packed(v) for v in vectors]
+    items = [sorted(p.items()) for p in packed]
     worst = 0.0
-    for i, u in enumerate(vectors):
-        for j, v in enumerate(vectors):
-            if j < i:
-                continue
-            g = inner(u, v)
+    for i, u in enumerate(packed):
+        for j in range(i, len(packed)):
+            v = packed[j]
+            if len(u) > len(v):
+                g = _overlap(items[j], u).conjugate()
+            else:
+                g = _overlap(items[i], v)
             target = 1.0 if i == j else 0.0
             worst = max(worst, abs(g - target))
     return worst
@@ -70,14 +94,12 @@ def is_orthonormal(vectors, eps: float = EPS) -> bool:
     return _orthonormality_defect(vectors) <= eps
 
 
-def _tails_by_head(phi: QubitString) -> dict:
-    """Map each proper prefix x of a support string x * s of ``phi`` to its tails s."""
-    out: dict[BitString, list] = {}
-    for y in phi.terms:
-        for k in range(y.length):
-            tail = y.length - k
-            out.setdefault(y.prefix(k), []).append(
-                BitString(tail, y.value & ((1 << tail) - 1)))
+def _tails_by_head(phi: dict) -> dict:
+    """Map each proper prefix x of a support string x * s of ``phi`` to its tails s, all packed."""
+    out: dict[int, list] = {}
+    for y in phi:
+        for t in range(y.bit_length() - 1, 0, -1):
+            out.setdefault(y >> t, []).append((1 << t) | (y & ((1 << t) - 1)))
     return out
 
 
@@ -94,23 +116,28 @@ def is_prefix_free(vectors):
     length), each evaluated in O(|supp psi|): O(pairs * |supp|^2 * L) in
     all, against the 2^(L+1) suffixes per pair of the scan that
     :func:`qprefix.bruteforce.prefix_free_bruteforce` keeps as the oracle.
+    Supports are packed once (see :func:`_packed`), so every lookup hashes
+    a plain int.
     """
-    vectors = list(vectors)
-    tails = [_tails_by_head(v) for v in vectors]
-    items = [v.items_sorted() for v in vectors]
-    for i, phi in enumerate(vectors):
-        for j, psi in enumerate(vectors):
+    packed = [_packed(v) for v in vectors]
+    tails = [_tails_by_head(p) for p in packed]
+    items = [sorted(p.items()) for p in packed]
+    for i, phi in enumerate(packed):
+        heads = tails[i]
+        for j, psi in enumerate(packed):
             candidates = set()
-            for x in psi.terms:
-                candidates.update(tails[i].get(x, ()))
+            for x in heads.keys() & psi.keys():
+                candidates.update(heads[x])
             for s in sorted(candidates):
+                t = s.bit_length() - 1
+                tail = s ^ (1 << t)
                 acc = 0j
                 for x, a in items[j]:
-                    b = phi.terms.get(x.concat(s))
+                    b = phi.get((x << t) | tail)
                     if b is not None:
                         acc += b.conjugate() * a
                 if abs(acc) > EPS:
-                    return False, Witness(i, j, s)
+                    return False, Witness(i, j, BitString(t, tail))
     return True, None
 
 
@@ -162,34 +189,21 @@ def kraft_chain(basis: PrefixBasis) -> KraftChain:
 
 
 def gram_schmidt(vectors, tol: float = DEP_TOL):
-    """Orthonormalize in order; returns (orthonormal list, dependent flags).
+    """Orthonormalize ambient vectors in order; returns (orthonormal list, dependent flags).
 
-    Accepts either QubitString values or ambient numpy vectors.  An input
-    whose residual norm after projection drops below ``tol`` is flagged as
-    dependent and excluded from the output list.
+    An input whose residual norm after projection drops below ``tol`` is
+    flagged as dependent and excluded from the output list.
     """
-    vectors = list(vectors)
     ortho = []
     flags = []
     for v in vectors:
-        if isinstance(v, QubitString):
-            w = v
-            for u in ortho:
-                w = w - inner(u, w) * u
-            nrm = w.norm()
-            if nrm < tol:
-                flags.append(True)
-                continue
-            flags.append(False)
-            ortho.append(w * (1.0 / nrm))
-        else:
-            w = np.asarray(v, dtype=complex).copy()
-            for u in ortho:
-                w = w - np.vdot(u, w) * u
-            nrm = float(np.linalg.norm(w))
-            if nrm < tol:
-                flags.append(True)
-                continue
-            flags.append(False)
-            ortho.append(w / nrm)
+        w = np.asarray(v, dtype=complex).copy()
+        for u in ortho:
+            w = w - np.vdot(u, w) * u
+        nrm = float(np.linalg.norm(w))
+        if nrm < tol:
+            flags.append(True)
+            continue
+        flags.append(False)
+        ortho.append(w / nrm)
     return ortho, flags

@@ -9,6 +9,7 @@ on load.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -57,6 +58,17 @@ def _as_list(x, where):
     return x
 
 
+def _complex_pairs(pairs, what):
+    """Finite complex numbers from a list of [re, im] pairs of JSON numbers."""
+    try:
+        out = [complex(re, im) for re, im in _as_list(pairs, what)]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("%s must be [re, im] pairs" % what)
+    if not all(map(cmath.isfinite, out)):
+        raise ValidationError("%s must be finite" % what)
+    return out
+
+
 def qstring_to_obj(psi: QubitString) -> dict:
     return {"terms": [{"bits": s.text, "re": a.real, "im": a.imag}
                       for s, a in psi.items_sorted()]}
@@ -81,11 +93,7 @@ def vector_to_obj(vec) -> dict:
 
 
 def vector_from_obj(obj):
-    amps = _require(obj, "amps", "vector")
-    try:
-        return np.array([complex(re, im) for re, im in amps])
-    except (TypeError, ValueError):
-        raise ValidationError("vector amps must be [re, im] pairs")
+    return np.array(_complex_pairs(_require(obj, "amps", "vector"), "vector amps"))
 
 
 def ensemble_to_obj(ensemble: Ensemble) -> dict:
@@ -95,7 +103,9 @@ def ensemble_to_obj(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_obj(obj) -> Ensemble:
-    dim = int(_require(obj, "dimension", "ensemble"))
+    dim = _require(obj, "dimension", "ensemble")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValidationError("ensemble dimension must be an integer >= 1, got %r" % (dim,))
     states = _require(obj, "states", "ensemble")
     if not isinstance(states, list) or not states:
         raise ValidationError("ensemble needs a nonempty state list")
@@ -105,7 +115,7 @@ def ensemble_from_obj(obj) -> Ensemble:
 
 
 def basis_from_obj(obj):
-    vectors = _require(obj, "vectors", "basis")
+    vectors = _as_list(_require(obj, "vectors", "basis"), "basis vectors")
     return [qstring_from_obj(v) for v in vectors]
 
 
@@ -120,10 +130,11 @@ def _matrix_to_obj(mat) -> list:
 
 
 def _matrix_from_obj(rows):
+    rows = [_complex_pairs(row, "matrix entries") for row in _as_list(rows, "matrix")]
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError):
-        raise ValidationError("matrix entries must be [re, im] pairs")
+        return np.array(rows)
+    except ValueError:  # rows of different lengths
+        raise ValidationError("matrix rows must have equal lengths")
 
 
 def code_to_obj(code: LosslessCode) -> dict:
@@ -136,15 +147,19 @@ def code_to_obj(code: LosslessCode) -> dict:
 
 
 def code_from_obj(obj) -> LosslessCode:
-    words = tuple(BitString.from_text(t)
-                  for t in _require(obj, "codewords", "code"))
+    words = tuple(BitString.from_text(t) for t in
+                  _as_list(_require(obj, "codewords", "code"), "code words"))
     isometry = _matrix_from_obj(_require(obj, "isometry", "code"))
     proj_obj = _require(obj, "projection", "code")
+
+    def proj_list(key):
+        return _as_list(_require(proj_obj, key, "code projection"), "projection " + key)
+
     proj = SequentialProjection(
-        tuple(_as_prob(x) for x in _require(proj_obj, "probs", "code projection")),
-        tuple(tuple(g) for g in _require(proj_obj, "groups", "code projection")),
-        tuple(_require(proj_obj, "reps", "code projection")))
-    rate = float(_require(obj, "rate", "code"))
+        tuple(_as_prob(x) for x in proj_list("probs")),
+        tuple(tuple(_as_list(g, "projection group")) for g in proj_list("groups")),
+        tuple(proj_list("reps")))
+    rate = _as_float(_require(obj, "rate", "code"), "rate")
     if isometry.ndim != 2 or isometry.shape[0] != len(words):
         raise ValidationError("isometry shape does not match the code words")
     return LosslessCode(words, isometry, isometry.conj(), proj, rate)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qprefix import NoiseModel, compare_codes_bruteforce, prefix
+from qprefix import NoiseModel, build_code, cli, compare_codes_bruteforce, prefix
 from qprefix.cli import main
-from qprefix.serialize import book_from_obj, dist_from_obj, load_json, round_floats
+from qprefix.serialize import (book_from_obj, code_to_obj, dist_from_obj,
+                               ensemble_from_obj, load_json, round_floats)
 
 FIX = "fixtures"
 
@@ -259,6 +260,95 @@ def test_one_state_entropy_is_positive_zero(capsys, tmp_path):
     assert math.copysign(1.0, json.loads(out)["shannon"]) == 1.0
 
 
+def test_reusing_the_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    # one process-wide parser: flags set by a call must not leak into the
+    # next, and argparse errors and --help must print what a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")
+    sim = ["simulate", "--code", f"{FIX}/book_compressed.json",
+           "--message", f"{FIX}/message_plus.json", "--trials", "40"]
+    rate = ["rate", "--ensemble", f"{FIX}/four_state.json"]
+    calls = [
+        sim + ["--lmax", "4", "--noise", "bitflip", "--q", "0.3", "--output", "{out}"],
+        sim,
+        rate + ["--all-projections"],
+        rate,
+        ["verify", "--basis", f"{FIX}/superposed_prefix_basis.json", "--bogus"],
+        sim + ["--noise", "loud"],
+        [],
+        ["--help"],
+        ["simulate", "--help"],
+        ["verify", "--basis", f"{FIX}/superposed_prefix_basis.json"],
+    ]
+    reports = []
+    for k, argv in enumerate(calls):
+        outs = []
+        for side in ("inproc", "fresh"):
+            out = tmp_path / ("%s%d.json" % (side, k))
+            args = [a.replace("{out}", str(out)) for a in argv]
+            if side == "inproc":
+                code = main(args)
+                captured = capsys.readouterr()
+                outs.append((code, captured.out, captured.err))
+            else:
+                proc = subprocess.run([sys.executable, "-m", "qprefix.cli"] + args,
+                                      capture_output=True, text=True)
+                outs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outs[0] == outs[1], argv
+        reports.append(outs[0][1])
+    assert (tmp_path / "inproc0.json").read_text() == reports[0]
+    assert not (tmp_path / "inproc1.json").exists()
+    first, second = json.loads(reports[0]), json.loads(reports[1])
+    assert (first["config"]["lmax"], first["noise"]["kind"]) == (4, "bitflip")
+    assert (second["config"]["lmax"], second["noise"]["kind"]) == (2, "none")
+    assert ["projections" in json.loads(r) for r in reports[2:4]] == [True, False]
+
+
+def test_main_calls_the_command_bound_at_call_time(capsys, monkeypatch):
+    basis = f"{FIX}/superposed_prefix_basis.json"
+    assert run_cli(capsys, "verify", "--basis", basis)[0] == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.basis)
+        return {"command": "verify", "patched": True}
+
+    monkeypatch.setattr(cli, "cmd_verify", patched)
+    code, out, _ = run_cli(capsys, "verify", "--basis", basis)
+    assert code == 0 and seen == [basis]
+    assert json.loads(out) == {"command": "verify", "patched": True}
+
+
+def test_malformed_loader_inputs_exit_2(capsys, tmp_path):
+    code = _four_state_code()
+    nan_amp = load_json(f"{FIX}/four_state.json")
+    nan_amp["states"][0]["amps"][0][0] = math.nan
+    plane = {"dimension": 2, "states": [{"p": 1.0, "amps": [[1.0, 0.0], [0.0, 0.0]]}]}
+    vec = f"{FIX}/vector_plus.json"
+    msg = f"{FIX}/message_plus.json"
+    # each case is (command, flag, input object, further argv)
+    cases = [("verify", "--basis", {"vectors": v}, []) for v in (5, None)]
+    for dim in ("x", [2], 2.7, 2.0, True, 0):
+        for cmd in ("rate", "oracle"):
+            cases.append((cmd, "--ensemble", dict(plane, dimension=dim), []))
+    cases.append(("rate", "--ensemble", nan_amp, []))
+    bad_codes = [dict(code, codewords=5), dict(code, codewords="01"), dict(code, rate="x"),
+                 dict(code, projection=dict(code["projection"], groups=5)),
+                 dict(code, projection=dict(code["projection"], reps=5)),
+                 dict(code, projection=dict(code["projection"], groups=[0, [1], [2]])),
+                 dict(code, isometry=[[[math.inf, 0.0]] * 3] * 3),
+                 dict(code, isometry=[[[10**400, 0.0]] * 3] * 3)]
+    for bad in bad_codes:
+        cases.append(("encode", "--code", bad, ["--vector", vec]))
+        cases.append(("decode", "--code", bad, ["--qstring", msg]))
+    for k, (cmd, flag, obj, rest) in enumerate(cases):
+        path = _write(tmp_path / ("in%d.json" % k), obj)
+        exit_code, out, err = run_cli(capsys, cmd, flag, path, *rest)
+        assert (exit_code, out) == (2, ""), (cmd, obj)
+        assert "internal" not in json.loads(err)["error"]
+    # the same plane with an integer dimension is accepted
+    assert run_cli(capsys, "rate", "--ensemble", _write(tmp_path / "plane.json", plane))[0] == 0
+
+
 def test_verify_certifies_each_basis_once(capsys, monkeypatch):
     calls = []
     original = prefix.is_prefix_free
@@ -305,6 +395,75 @@ def test_loader_fuzz_exits_0_or_2(book, message, dist):
             main(["compare", "--bookA", book, "--bookB", book, "--dist", dist] + noise),
             main(["compare", "--bookA", f"{FIX}/book_compressed.json",
                   "--bookB", f"{FIX}/book_fixed.json", "--dist", dist] + noise),
+        ]
+    assert set(codes) <= {0, 2}
+
+
+# The same fuzz through the ensemble, basis, code, vector and qubit-string
+# loaders of verify, rate, oracle, encode and decode.  Each input is a valid
+# file with up to two values, at any depth, replaced by fuzz, so most
+# examples get past the first check.
+_leaves = _json | st.sampled_from([math.nan, math.inf, 1e308, 10**400, True,
+                                   2.7, -1, 0, "x", [2], None])
+
+
+def _paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    """``obj`` with the value at ``path`` replaced; unchanged if the path is gone."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {k: _replaced(v, rest, value) if k == head else v for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_replaced(v, rest, value) if k == head else v for k, v in enumerate(obj)]
+    return obj
+
+
+def _mutants(obj):
+    paths = list(_paths(obj))
+
+    def mutate(edits):
+        out = obj
+        for path, value in edits:
+            out = _replaced(out, path, value)
+        return out
+
+    return st.lists(st.tuples(st.sampled_from(paths), _leaves), max_size=2).map(mutate)
+
+
+def _fixture_mutants(name):
+    return _mutants(load_json(f"{FIX}/{name}.json"))
+
+
+def _four_state_code():
+    ensemble = ensemble_from_obj(load_json(f"{FIX}/four_state.json"))
+    return round_floats(code_to_obj(build_code(ensemble)))
+
+
+@given(_fixture_mutants("four_state"), _fixture_mutants("superposed_prefix_basis"),
+       _mutants(_four_state_code()), _fixture_mutants("vector_plus"),
+       _fixture_mutants("message_plus"))
+def test_code_loader_fuzz_exits_0_or_2(ensemble, basis, code, vector, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        ensemble, basis, code, vector, message = (
+            _write(root / name, obj) for name, obj in
+            (("ens.json", ensemble), ("basis.json", basis), ("code.json", code),
+             ("vec.json", vector), ("msg.json", message)))
+        codes = [
+            main(["verify", "--basis", basis]),
+            main(["rate", "--ensemble", ensemble]),
+            main(["oracle", "--ensemble", ensemble]),
+            main(["encode", "--code", code, "--vector", vector]),
+            main(["decode", "--code", code, "--qstring", message]),
         ]
     assert set(codes) <= {0, 2}
 

@@ -11,7 +11,7 @@ from helpers import (CHI, PHI, PSI, random_prefix_code, random_qstring,
                      rotated_basis)
 from qprefix import (BitString, KraftChain, PrefixBasis, QubitString,
                      ValidationError, concat, gram_schmidt, inner,
-                     is_orthonormal, is_prefix_free, ket, kraft_chain,
+                     is_orthonormal, is_prefix_free, ket, kraft_chain, prefix,
                      subspace_prefix_free)
 from qprefix.bruteforce import (DensityFragment, distinguishable_by_prefix,
                                 reduced_prefix_state)
@@ -194,18 +194,26 @@ def test_prefix_freedom_agrees_with_reduced_state_test(seed):
     assert not distinguishable_by_prefix(bad)
 
 
-def test_gram_schmidt_on_qubit_strings():
-    ortho, dep = gram_schmidt([PSI, ket("1")])
-    assert dep == [False, False]
-    assert ortho[0].distance(PSI) <= 1e-12
-    residual = (ket("1") - ket("01")).normalized()
-    assert min(ortho[1].distance(residual),
-               ortho[1].distance(-residual)) <= 1e-12
-    assert is_orthonormal(ortho)
+def test_gram_schmidt_on_dense_strings():
+    # PSI and |1> as coordinates over the strings 1, 01
+    support = [BitString.from_text("1"), BitString.from_text("01")]
 
-    _, flags = gram_schmidt([PSI, PSI])
+    def dense(psi):
+        return np.array([psi.terms.get(s, 0j) for s in support])
+
+    psi, one = dense(PSI), dense(ket("1"))
+    ortho, dep = gram_schmidt([psi, one])
+    assert dep == [False, False]
+    assert np.linalg.norm(ortho[0] - psi) <= 1e-12
+    residual = dense((ket("1") - ket("01")).normalized())
+    assert min(np.linalg.norm(ortho[1] - residual),
+               np.linalg.norm(ortho[1] + residual)) <= 1e-12
+    g = np.array([[np.vdot(u, v) for v in ortho] for u in ortho])
+    assert np.abs(g - np.eye(2)).max() <= 1e-9
+
+    _, flags = gram_schmidt([psi, psi])
     assert flags == [False, True]
-    _, flags = gram_schmidt([PSI, PSI * 1j])
+    _, flags = gram_schmidt([psi, psi * 1j])
     assert flags == [False, True]
 
 
@@ -234,3 +242,73 @@ def test_concatenation_is_an_isometry_on_the_example_subspace():
         got = inner(concat(f1, g1), concat(f2, g2))
         want = inner(f1, f2) * inner(g1, g2)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def _defect_reference(vectors):
+    """The orthonormality defect as a double loop over qstring.inner."""
+    worst = 0.0
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            if j < i:
+                continue
+            g = inner(u, v)
+            target = 1.0 if i == j else 0.0
+            worst = max(worst, abs(g - target))
+    return worst
+
+
+_words = st.builds(lambda n, bits: BitString(n, bits & ((1 << n) - 1)),
+                   st.sampled_from([0, 1, 2, 3, 5, 63, 64, 65, 70]),
+                   st.integers(0, 2**70))
+_amps = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@given(st.lists(_words, min_size=1, max_size=8, unique=True), st.data())
+def test_packed_defect_matches_the_inner_product_loop(pool, data):
+    # vectors draw their supports from one small pool, so supports overlap;
+    # some are repeated outright and some are normalized
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        if vectors and data.draw(st.booleans()):
+            vectors.append(vectors[data.draw(st.integers(0, len(vectors) - 1))])
+            continue
+        terms = data.draw(st.dictionaries(st.sampled_from(pool), _amps, max_size=len(pool)))
+        psi = QubitString(terms)
+        if psi.terms and data.draw(st.booleans()):
+            psi = psi.normalized()
+        vectors.append(psi)
+    assert prefix._orthonormality_defect(vectors) == _defect_reference(vectors)
+    assert is_orthonormal(vectors) == (_defect_reference(vectors) <= 1e-9)
+
+
+def test_defect_on_fixed_sets_matches_the_inner_product_loop():
+    long = BitString(72, 2**71 + 5)
+    rng = np.random.default_rng(3)
+    # eight shared strings stored against (length, value) order: the sums
+    # then depend on the order in which the terms are added
+    words = [BitString(n, v) for n, v in ((0, 0), (1, 1), (2, 2), (3, 5), (5, 17),
+                                          (64, 2**63 + 9), (65, 3), (72, 2**70))]
+    sets = [
+        [QubitString({w: complex(*rng.normal(size=2)) for w in reversed(words)})
+         for _ in range(4)],
+        [PSI, PHI, CHI],
+        [ket(""), ket("0"), ket(""), (ket("") + ket("1")).normalized()],
+        [QubitString({long: 0.6, "0": 0.8j}), QubitString({long: 0.8, "1": 0.6}),
+         QubitString({long: 1.0})],
+        [random_qstring(rng) for _ in range(5)],
+        [QubitString({}), ket("01", 0.5)],
+    ]
+    for vectors in sets:
+        assert prefix._orthonormality_defect(vectors) == _defect_reference(vectors)
+
+
+def test_long_spoiled_comma_code_reports_its_planted_witness():
+    length = 72
+    words = ["1" * k + "0" for k in range(length)] + ["1" * length]
+    phases = np.exp(2j * np.pi * np.random.default_rng(1).random(len(words) + 1))
+    assert is_prefix_free([ket(w, p) for w, p in zip(words, phases)]) == (True, None)
+    # the extension sits at index 30; the longest word, its prefix, ends the list
+    spoiled = words[:30] + [words[-1] + "1"] + words[30:]
+    ok, w = is_prefix_free([ket(s, p) for s, p in zip(spoiled, phases)])
+    assert not ok
+    assert (w.phi, w.psi, w.suffix) == (30, len(words), BitString(1, 1))
