@@ -624,8 +624,18 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
     Trial t of book b draws its branches from the stream of
     ``default_rng((seed, b, t))``; the streams of a chunk of trials are
     computed at once, without building a generator per trial.
-    For constant bit-flip noise the closed form sum_j p_j (1-q)^len(w_j) is
-    attached for reference (errors after completion cannot reach Bob).
+
+    A trial is scored from its branches alone, without stepping the
+    channel: it succeeds exactly when no X or Y branch falls on steps
+    1..len(w).  Until Bob holds a code word, step i hands him the cell,
+    which carries Alice's i-th bit flipped by X or Y (Z and Y's phases
+    leave a single word's configuration on the same bits).  Bob's bit i
+    is final once step i is over, and no proper prefix of w is a code
+    word, so with no flip he completes w at step len(w) and swaps no
+    more; a first flip at step i <= len(w) leaves a wrong bit i for good.
+    When no step can flip a bit, every trial succeeds and nothing is
+    drawn.  For constant bit-flip noise that rule gives the closed form
+    sum_j p_j (1-q)^len(w_j), attached for reference.
     """
     probs = [float(x) for x in probs]
     if (any(not math.isfinite(x) or x < 0.0 for x in probs)
@@ -644,22 +654,18 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
     for b_idx, book in enumerate((book_a, book_b)):
         l_max = book.max_length
         qs = noise.step_probs(l_max) if l_max else ()
-        # A word message is a single configuration with amplitude 1, so a
-        # trial succeeds when Bob ends up holding the padded word.  Each
-        # word sent is validated once.
-        alice, cell, bob = (np.zeros(len(book.words), dtype=np.int64) for _ in range(3))
-        for j in np.unique(symbols).tolist():
-            state = init_channel(QubitString({book.words[j]: 1.0}), book, l_max)
-            alice[j], cell[j], bob[j] = state.alice[0], state.cell[0], state.bob[0]
-        padded = np.array([w.value << (l_max - w.length) for w in book.words],
-                          dtype=np.int64)
-        successes = 0
-        for t0 in range(0, trials, CHUNK_ROWS):
-            sym = symbols[t0:t0 + CHUNK_ROWS]
-            codes = _draw_branches(noise.kind, qs, (noise.seed, b_idx), t0, t0 + len(sym))
-            _, _, b = _evolve(alice[sym, None], cell[sym, None], bob[sym, None],
-                              codes, 1, l_max, book._by_length)
-            successes += int(np.count_nonzero(b[:, 0] == padded[sym]))
+        if l_max > MAX_LMAX:
+            raise ValidationError("l_max must lie in [0, %d]" % MAX_LMAX)
+        successes = trials
+        if noise.kind in ("bitflip", "depolarizing") and any(qs):
+            lengths = np.array([w.length for w in book.words])
+            for t0 in range(0, trials, CHUNK_ROWS):
+                sym = symbols[t0:t0 + CHUNK_ROWS]
+                codes = _draw_branches(noise.kind, qs, (noise.seed, b_idx),
+                                       t0, t0 + len(sym))
+                exposed = np.arange(l_max) < lengths[sym, None]
+                flipped = ((codes == _X) | (codes == _Y)) & exposed
+                successes -= int(np.count_nonzero(flipped.any(axis=1)))
         rate = successes / trials
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
         analytic = None

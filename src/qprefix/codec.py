@@ -324,8 +324,11 @@ def encode(code: LosslessCode, vector) -> QubitString:
 
 def decode(code: LosslessCode, qstring: QubitString):
     """Invert :func:`encode`; the input must live on the code words."""
+    norm_sq = qstring.norm_sq()
+    if not math.isfinite(norm_sq):  # inf - inf would pass the test below as NaN
+        raise ValidationError("qubit string norm overflows")
     coeffs = np.array([qstring.terms.get(w, 0j) for w in code.codewords])
-    residual_sq = qstring.norm_sq() - float(np.sum(np.abs(coeffs) ** 2))
+    residual_sq = norm_sq - float(np.sum(np.abs(coeffs) ** 2))
     if math.sqrt(max(residual_sq, 0.0)) >= DEP_TOL:
         raise ValidationError("qubit string lies outside the code space")
     return coeffs @ code.basis_in

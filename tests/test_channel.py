@@ -431,6 +431,34 @@ def test_compare_codes_matches_the_reference_engine(seed):
         for noise in _noises(rng, steps):
             assert (_rounded(compare_codes(probs, a, b, noise, trials))
                     == _rounded(compare_codes_bruteforce(probs, a, b, noise, trials)))
+    # Flip-heavy races, where many trials fail.
+    kinds = ("bitflip", "depolarizing")
+    for probs, a, b in races:
+        trials = int(rng.integers(100, 301))
+        noise = NoiseModel(kinds[int(rng.integers(2))], float(rng.uniform(0.3, 1.0)),
+                           seed=int(rng.integers(2**31)))
+        assert (_rounded(compare_codes(probs, a, b, noise, trials))
+                == _rounded(compare_codes_bruteforce(probs, a, b, noise, trials)))
+    # Every trial sends word j of book_a, of length L >= 1, under a schedule
+    # that spares it always (no flip up to step L, certain flips after it)
+    # or breaks it always (a certain bit flip at step L).
+    j = int(rng.integers(n))
+    length = book_a.words[j].length
+    steps = max(book_a.max_length, book_b.max_length)
+    if rng.integers(2):
+        kind, rate = kinds[int(rng.integers(2))], 1.0
+        per_step = (0.0,) * length + (1.0,) * (steps - length)
+    else:
+        kind, rate = "bitflip", 0.0
+        per_step = rng.uniform(0.0, 1.0, steps)
+        per_step[length - 1] = 1.0
+    noise = NoiseModel(kind, 0.0, per_step=tuple(per_step), seed=int(rng.integers(2**31)))
+    probs = tuple(float(k == j) for k in range(n))
+    trials = int(rng.integers(100, 301))
+    report = compare_codes(probs, book_a, book_b, noise, trials)
+    assert report.results[0].success_rate == rate
+    assert (_rounded(report)
+            == _rounded(compare_codes_bruteforce(probs, book_a, book_b, noise, trials)))
 
 
 def test_trial_chunks_do_not_change_the_reports(monkeypatch):
@@ -456,17 +484,32 @@ def test_reference_engine_guards():
         compare_codes_bruteforce((0.5, 0.5), BOOK, FIXED, NONE, 10)
 
 
-def test_compare_codes_validates_each_word_once(monkeypatch):
+def test_compare_codes_scores_without_stepping_the_channel(monkeypatch):
     calls = []
-    original = channel.init_channel
 
-    def counting(message, book, l_max):
-        calls.append(book)
-        return original(message, book, l_max)
+    def counting(name):
+        original = getattr(channel, name)
 
-    monkeypatch.setattr(channel, "init_channel", counting)
-    compare_codes((0.5, 0.25, 0.25), BOOK, FIXED, NoiseModel("bitflip", 0.1), 500)
-    assert [b is BOOK for b in calls] == [True] * 3 + [False] * 3
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("init_channel", "_evolve"):
+        monkeypatch.setattr(channel, name, counting(name))
+    for noise in (NONE, NoiseModel("bitflip", 0.1), NoiseModel("depolarizing", 0.5, seed=4),
+                  NoiseModel("phaseflip", 0.3)):
+        compare_codes((0.5, 0.25, 0.25), BOOK, FIXED, noise, 500)
+    assert calls == []
+    # a register of 25 qubits is still refused, on either side of the race
+    pair, long = (CodeBook.from_texts(["0", "1" + "0" * k]) for k in (0, 24))
+    for a, b in ((long, pair), (pair, long)):
+        for noise in (NONE, NoiseModel("bitflip", 0.1)):
+            with pytest.raises(ValidationError, match=r"^l_max must lie in \[0, 24\]$"):
+                compare_codes((0.5, 0.5), a, b, noise, 3)
+    widest = CodeBook.from_texts(["0", "1" + "0" * 23])
+    assert compare_codes((0.5, 0.5), widest, pair, NONE, 3).results[0].success_rate == 1.0
+    assert calls == []
 
 
 def test_compare_codes_rejects_non_finite_probabilities():

@@ -349,6 +349,23 @@ def test_malformed_loader_inputs_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "rate", "--ensemble", _write(tmp_path / "plane.json", plane))[0] == 0
 
 
+def test_decode_of_an_overflowing_norm_exits_2(capsys, tmp_path):
+    # finite amplitudes whose squared norm overflows; on the code words or off them
+    code = _write(tmp_path / "code.json", _four_state_code())
+    for terms in ([{"bits": "0", "re": 1e308}, {"bits": "10", "re": 1e308}],
+                  [{"bits": "10", "re": 1e200}, {"bits": "11", "im": -1e200}],
+                  [{"bits": "1", "re": 1e308}]):
+        msg = _write(tmp_path / "msg.json", {"terms": terms})
+        exit_code, out, err = run_cli(capsys, "decode", "--code", code, "--qstring", msg)
+        assert (exit_code, out) == (2, ""), terms
+        assert json.loads(err)["error"] == "qubit string norm overflows"
+    # a huge norm that does not overflow still decodes
+    msg = _write(tmp_path / "msg.json", {"terms": [{"bits": "10", "re": 1e150}]})
+    exit_code, out, _ = run_cli(capsys, "decode", "--code", code, "--qstring", msg)
+    assert exit_code == 0
+    assert json.loads(out)["amps"] == [[0.0, 0.0], [0.0, 0.0], [1e150, 0.0]]
+
+
 def test_verify_certifies_each_basis_once(capsys, monkeypatch):
     calls = []
     original = prefix.is_prefix_free
