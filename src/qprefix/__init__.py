@@ -5,9 +5,8 @@ from .bruteforce import (DensityFragment, OracleResult,
                          hmon_bruteforce, prefix_free_bruteforce,
                          projections_bruteforce, rate_bruteforce,
                          reduced_prefix_state, run_bruteforce)
-from .channel import (BookResult, ChannelState, CodeBook, ComparisonReport,
-                      NoiseModel, SimulationReport, compare_codes,
-                      init_channel, protocol_step, run)
+from .channel import (BookResult, CodeBook, ComparisonReport, NoiseModel,
+                      SimulationReport, compare_codes, init_channel, run)
 from .codec import (Ensemble, LengthAssignment, LosslessCode,
                     SequentialProjection, build_code, canonical_codewords,
                     decode, encode, monotone_entropy, optimal_rate,
@@ -20,7 +19,7 @@ from .qstring import (EPS, BitString, QubitString, avg_length, base_length,
                       concat, inner, ket, zero_extended)
 
 __all__ = [
-    "EPS", "BitString", "BookResult", "ChannelState", "CodeBook",
+    "EPS", "BitString", "BookResult", "CodeBook",
     "ComparisonReport", "DensityFragment", "Ensemble", "KraftChain",
     "LengthAssignment", "LosslessCode", "NoiseModel", "OracleResult",
     "PrefixBasis", "QubitString", "SequentialProjection",
@@ -31,7 +30,7 @@ __all__ = [
     "hmon_bruteforce", "init_channel", "inner", "is_orthonormal",
     "is_prefix_free", "ket", "kraft_chain", "monotone_entropy",
     "optimal_rate", "prefix_free_bruteforce", "projections_bruteforce",
-    "protocol_step", "rate_bruteforce", "reduced_prefix_state", "run",
+    "rate_bruteforce", "reduced_prefix_state", "run",
     "run_bruteforce", "sequential_projections", "shannon_entropy",
     "subspace_prefix_free", "tensor_ensemble", "zero_extended",
 ]

@@ -51,8 +51,7 @@ CHUNK_ROWS = 1 << 14
 
 NOISE_KINDS = ("none", "bitflip", "phaseflip", "depolarizing")
 SCHEDULES = ("constant", "linear")
-# Kraus branches on the cell; the engine stores a branch as its index here.
-BRANCHES = "IXYZ"
+# Kraus branches on the cell: branch codes 0..3 are I, X, Y, Z.
 _X, _Y, _Z = 1, 2, 3
 # i**k for the phase count k (mod 4) that Y and Z branches leave on a row.
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -185,61 +184,14 @@ def _raise_first_fault(words) -> None:
                                       % (a.text, b.text))
 
 
-class ChannelState:
-    """Joint configuration amplitudes over (Alice bits, cell bit, Bob bits).
+def init_channel(message: QubitString, book: CodeBook, l_max: int) -> tuple:
+    """The start rows ``(alice, amps)``: Alice holds the zero-extended message.
 
-    Row k is one configuration: ``alice[k]`` and ``bob[k]`` are the packed
-    registers, ``cell[k]`` the cell bit and ``amps[k]`` its amplitude.  The
-    constructor validates a ``{(alice, cell, bob): amplitude}`` dict keyed
-    by bit strings; states the engine derives from a valid one are not
-    checked again.
-    """
-
-    __slots__ = ("l_max", "book", "alice", "cell", "bob", "amps")
-
-    def __init__(self, l_max: int, book: CodeBook, joint: dict):
-        if not 0 <= l_max <= MAX_LMAX:
-            raise ValidationError("l_max must lie in [0, %d]" % MAX_LMAX)
-        if len(joint) > MAX_SUPPORT:
-            raise ValidationError("joint support exceeds %d configurations" % MAX_SUPPORT)
-        total = math.fsum(abs(a) ** 2 for a in joint.values())
-        if abs(total - 1.0) > EPS:
-            raise ValidationError("joint state must stay normalized")
-        for (a, c, b) in joint:
-            if a.length != l_max or b.length != l_max or c not in (0, 1):
-                raise ValidationError("malformed configuration key")
-        self.l_max = l_max
-        self.book = book
-        self.alice = np.array([a.value for a, _, _ in joint], dtype=np.int64)
-        self.cell = np.array([c for _, c, _ in joint], dtype=np.int64)
-        self.bob = np.array([b.value for _, _, b in joint], dtype=np.int64)
-        self.amps = np.array(list(joint.values()), dtype=complex)
-
-    @classmethod
-    def _from_rows(cls, l_max, book, alice, cell, bob, amps) -> "ChannelState":
-        state = cls.__new__(cls)
-        state.l_max, state.book = l_max, book
-        state.alice, state.cell, state.bob, state.amps = alice, cell, bob, amps
-        return state
-
-    @property
-    def joint(self) -> dict:
-        n = self.l_max
-        return {(BitString(n, a), c, BitString(n, b)): amp
-                for a, c, b, amp in zip(self.alice.tolist(), self.cell.tolist(),
-                                        self.bob.tolist(), self.amps.tolist())}
-
-    def completed(self, bob: BitString, received: int) -> bool:
-        """True when some prefix of Bob's first ``received`` bits is a code word."""
-        words = frozenset(self.book.words)
-        return any(bob.prefix(k) in words for k in range(received + 1))
-
-
-def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelState:
-    """Load Alice with the zero-extended message; cell and Bob start at zero.
-
-    The message must be normalized and lie in the span of the book's code
-    words; superpositions of words are explicitly allowed.  The rows follow
+    ``alice`` (int64) packs each configuration's register and ``amps``
+    (complex) holds its amplitude; the cell and Bob start at zero in every
+    row, so they are not stored.  The message must be normalized and lie in
+    the span of the book's code words; superpositions of words are
+    explicitly allowed.  The rows follow
     :func:`~qprefix.qstring.zero_extended`: terms that pad to the same
     register add up in term order, in the order their registers first
     occur, and sums below ``PRUNE_SQ`` are dropped.
@@ -273,14 +225,11 @@ def init_channel(message: QubitString, book: CodeBook, l_max: int) -> ChannelSta
     if (len(padded) < len(terms)
             and abs(math.fsum(abs(a) ** 2 for a in amps.tolist()) - 1.0) > EPS):
         raise ValidationError("joint state must stay normalized")
-    zeros = np.zeros(len(amps), dtype=np.int64)
-    return ChannelState._from_rows(l_max, book, alice, zeros, zeros.copy(), amps)
+    return alice, amps
 
 
 def _branch_codes(kind: str, qs, u) -> np.ndarray:
-    """Branch indices into BRANCHES from uniform draws u[trial, step]."""
-    if kind == "none":
-        return np.zeros(np.shape(u), dtype=np.int8)
+    """Branch codes of a noisy kind from uniform draws u[trial, step]."""
     q = np.asarray(qs, dtype=float)
     if kind == "bitflip":
         return np.where(u < q, _X, 0).astype(np.int8)
@@ -446,98 +395,78 @@ def _draw_branches(kind: str, qs, head: tuple, start: int, stop: int) -> np.ndar
     return _branch_codes(kind, qs, _uniforms(head, start, stop, len(qs)))
 
 
-def _evolve(alice, cell, bob, codes, first: int, l_max: int, words: dict):
-    """Run steps first, first + 1, ... on a batch of configuration rows.
+def _evolve(alice, codes, l_max: int, words: dict):
+    """Run steps 1, 2, ... on a batch of start rows.
 
-    ``alice``, ``cell`` and ``bob`` broadcast against (trials, 1); column j
-    of ``codes`` holds every trial's branch at step first + j.  Returns the
-    (alice, cell, bob) arrays; :func:`_phases` gives the amplitudes' phases.
+    The start rows are Alice's registers ``alice`` from
+    :func:`init_channel`, with the cell and Bob at zero; row t of
+    ``codes`` holds trial t's branch at step i in column i - 1.  Returns
+    the (alice, cell, bob) arrays, one row per trial and one column per
+    start row; :func:`_phases` gives the amplitudes' phases.
     """
-    shape = np.broadcast_shapes(np.shape(alice), (codes.shape[0], 1))
-    a, c, b = (np.broadcast_to(x, shape).copy() for x in (alice, cell, bob))
+    shape = (codes.shape[0], len(alice))
+    a = np.broadcast_to(alice, shape).copy()
+    c = np.zeros(shape, dtype=np.int64)
+    b = np.zeros(shape, dtype=np.int64)
     live = np.ones(shape, dtype=bool)
-
-    def complete(k):
-        # Bob's first k bits are final once step k is over, so a word of
-        # length k completes him for good: the flag is sticky.
-        if k in words:
-            head = b >> (l_max - k)
-            found = np.take(words[k], np.searchsorted(words[k], head), mode="clip")
-            live[...] &= found != head
-
-    for k in range(first - 1):
-        complete(k)
     flip = (codes == _X) | (codes == _Y)
-    for j in range(codes.shape[1]):
-        i = first + j
+    for i in range(1, codes.shape[1] + 1):
+        # Bob's first i - 1 bits are final once step i - 1 is over, so a
+        # word of that length completes him for good: the flag is sticky.
+        values = words.get(i - 1)
+        if values is not None:
+            head = b >> (l_max - i + 1)
+            found = np.take(values, np.searchsorted(values, head), mode="clip")
+            live &= found != head
         shift = l_max - i
-        complete(i - 1)
-        # Until step i, Alice's and Bob's i-th qubits are as they came in.
+        # Until step i, Alice's i-th qubit is as it came in.
         x = (alice >> shift) & 1
         # Alice swaps her i-th qubit with the cell; X and Y flip the cell.
         a ^= (c ^ x) << shift
-        c = x ^ flip[:, j, None]
-        # Bob swaps his i-th qubit with the cell unless he is complete.
-        d = (c ^ ((bob >> shift) & 1)) & live
-        b ^= d << shift
+        c = x ^ flip[:, i - 1, None]
+        # Bob's i-th qubit is still 0, so his swap, unless he is complete,
+        # hands him the cell's bit and leaves the cell at 0.
+        d = c & live
+        b |= d << shift
         c ^= d
     return a, c, b
 
 
-def _phases(alice, codes, first: int, l_max: int) -> np.ndarray:
+def _phases(alice, codes, l_max: int) -> np.ndarray:
     """Phase count k (amplitude factor i**k) of each (trial, row of ``alice``).
 
     When step i's branch acts, the cell holds Alice's i-th qubit as it came
     in, whatever Bob does: Z signs |1> (k += 2 bit), and Y maps |0> to i|1>
     and |1> to -i|0> (k += 1 + 2 bit).  One integer product sums the steps.
     """
-    shifts = l_max - np.arange(first, first + codes.shape[1])
+    shifts = l_max - np.arange(1, codes.shape[1] + 1)
     bits = (alice >> shifts[:, None]) & 1
     signs = ((codes == _Y) | (codes == _Z)).astype(np.int64)
     return 2 * (signs @ bits) + np.count_nonzero(codes == _Y, axis=1)[:, None]
 
 
-def _apply_step(state: ChannelState, i: int, branch: str) -> ChannelState:
-    if not 1 <= i <= state.l_max:
-        raise ValidationError("step index out of range")
-    codes = np.array([[BRANCHES.index(branch)]], dtype=np.int8)
-    a, c, b = _evolve(state.alice, state.cell, state.bob, codes, i,
-                      state.l_max, state.book._by_length)
-    phase = _phases(state.alice, codes, i, state.l_max)
-    return ChannelState._from_rows(state.l_max, state.book, a[0], c[0], b[0],
-                                   state.amps * _PHASES[phase[0] & 3])
-
-
-def protocol_step(state: ChannelState, i: int, noise: NoiseModel, rng) -> ChannelState:
-    """One full channel step: Alice swap, sampled noise branch, Bob's swap."""
-    if not 1 <= i <= state.l_max:
-        raise ValidationError("step index out of range")
-    q = noise.step_probs(state.l_max)[i - 1]
-    u = rng.random() if noise.kind != "none" else 0.0
-    code = _branch_codes(noise.kind, (q,), np.array([[u]]))[0, 0]
-    return _apply_step(state, i, BRANCHES[code])
-
-
-def _bob_fidelities(rows, phase, start: ChannelState) -> list:
+def _bob_fidelities(rows, phase, alice, amps, l_max: int) -> list:
     """<message| rho_Bob |message> for each trial (row) of ``rows``.
 
-    The zero-extended message is Alice's start register, so ``start`` holds
-    the target amplitudes too.  A trial's joint state is pure: the overlap
-    sums conj(target(b)) * amp over each (Alice, cell) group, in row order,
-    and adds the squared magnitudes of the group sums.
+    ``alice`` and ``amps`` are the start rows of :func:`init_channel` (the
+    cell and Bob start at zero).  The zero-extended message is Alice's
+    start register, so they hold the target amplitudes too.  A trial's
+    joint state is pure: the overlap sums conj(target(b)) * amp over each
+    (Alice, cell) group, in row order, and adds the squared magnitudes of
+    the group sums.
     """
     a, c, b = rows
-    order = np.argsort(start.alice)
-    t_val, t_amp = start.alice[order], start.amps[order]
+    order = np.argsort(alice)
+    t_val, t_amp = alice[order], amps[order]
     pos = np.minimum(np.searchsorted(t_val, b), len(t_val) - 1)
     hit = t_val[pos] == b
-    amp = (start.amps * _PHASES[phase & 3])[hit]
+    amp = (amps * _PHASES[phase & 3])[hit]
     t = t_amp[pos[hit]]
     # conj(t) * amp, one rounding per operation as in complex arithmetic
     re = t.real * amp.real + t.imag * amp.imag
     im = t.real * amp.imag - t.imag * amp.real
     trial = np.nonzero(hit)[0]
-    shift = start.l_max + 1
+    shift = l_max + 1
     groups, inverse = np.unique((trial << shift) | (a[hit] << 1) | c[hit],
                                 return_inverse=True)
     sum_re = np.bincount(inverse, weights=re, minlength=len(groups))
@@ -572,24 +501,23 @@ def run(message: QubitString, book: CodeBook, l_max: int,
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
-    start = init_channel(message, book, l_max)
+    alice, amps = init_channel(message, book, l_max)
     qs = noise.step_probs(l_max)
-    rows = (start.alice, start.cell, start.bob)
 
     fids = []
     err_counts = np.zeros(l_max, dtype=np.int64)
-    chunk = max(1, CHUNK_ROWS // len(start.amps))
+    chunk = max(1, CHUNK_ROWS // len(amps))
     for t0 in range(0, trials, chunk):
         codes = _draw_branches(noise.kind, qs, (), noise.seed + t0,
                                noise.seed + min(trials, t0 + chunk))
         err_counts += np.count_nonzero(codes, axis=0)
         if t0 == 0:
             codes = np.concatenate([np.zeros((1, l_max), dtype=np.int8), codes])
-        a, c, b = _evolve(*rows, codes, 1, l_max, book._by_length)
+        a, c, b = _evolve(alice, codes, l_max, book._by_length)
         if t0 == 0:
-            stray = start.amps[(a[0] != 0) | (c[0] != 0)]
+            stray = amps[(a[0] != 0) | (c[0] != 0)]
             a, c, b, codes = a[1:], c[1:], b[1:], codes[1:]
-        fids += _bob_fidelities((a, c, b), _phases(start.alice, codes, 1, l_max), start)
+        fids += _bob_fidelities((a, c, b), _phases(alice, codes, l_max), alice, amps, l_max)
 
     mean = math.fsum(fids) / trials
     if trials > 1:

@@ -110,9 +110,6 @@ class BitString:
         return "BitString(%r)" % self.text
 
 
-LAMBDA = BitString(0, 0)
-
-
 def _check_text(text) -> None:
     """Reject anything but 0/1 text.
 

@@ -147,8 +147,9 @@ def code_to_obj(code: LosslessCode) -> dict:
 
 
 def code_from_obj(obj) -> LosslessCode:
-    words = tuple(BitString.from_text(t) for t in
-                  _as_list(_require(obj, "codewords", "code"), "code words"))
+    # the code words must be distinct and prefix-free, as in a code book
+    words = CodeBook.from_texts(
+        _as_list(_require(obj, "codewords", "code"), "code words")).words
     isometry = _matrix_from_obj(_require(obj, "isometry", "code"))
     proj_obj = _require(obj, "projection", "code")
 

@@ -366,6 +366,22 @@ def test_decode_of_an_overflowing_norm_exits_2(capsys, tmp_path):
     assert json.loads(out)["amps"] == [[0.0, 0.0], [0.0, 0.0], [1e150, 0.0]]
 
 
+def test_codes_with_duplicate_or_non_prefix_free_words_exit_2(capsys, tmp_path):
+    # a duplicate word would let encode keep one of two amplitudes, and a
+    # non-prefix-free code would round-trip as if it were lossless
+    code = _four_state_code()
+    vec = _write(tmp_path / "vec.json", {"amps": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]})
+    msg = _write(tmp_path / "msg.json", {"terms": [{"bits": "11", "re": 1.0}]})
+    for words, error in ((["0", "0", "11"], "duplicate code word '0'"),
+                         (["0", "01", "11"], "book is not prefix-free: '0' prefixes '01'")):
+        path = _write(tmp_path / "code.json", dict(code, codewords=words))
+        for argv in (["encode", "--code", path, "--vector", vec],
+                     ["decode", "--code", path, "--qstring", msg]):
+            exit_code, out, err = run_cli(capsys, *argv)
+            assert (exit_code, out) == (2, ""), argv
+            assert json.loads(err)["error"] == error
+
+
 def test_verify_certifies_each_basis_once(capsys, monkeypatch):
     calls = []
     original = prefix.is_prefix_free
