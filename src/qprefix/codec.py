@@ -17,9 +17,32 @@ monotone entropy of p'.  The constructive side pairs the Gram-Schmidt basis
 of the chosen representatives with the canonical prefix code words of the
 optimal length tuple.
 
+Both minimisations are one dynamic programme over a code tree grown level
+by level (cf. Golin-Rote, IEEE IT 1998).  Its states are (closed set C,
+level l, free nodes a): C is the set of states consumed so far, closed
+under span, and a counts the unused nodes at depth l.  A state either emits
+the group closure(C + {i}) minus C on one node, at cost (group weight) * l,
+or descends a level, a becoming min(2a, most picks still to come).  The
+work is closed sets x levels x nodes: at most 2^n closed sets, far fewer
+when the span is low-dimensional, times O(dim^2) (level, nodes) pairs.
+Monotone entropy is the chain case, with the prefixes of p as closed sets,
+in O(n^3).  One pass of closures per closed set serves both the DP and the
+enumeration :func:`sequential_projections`, which still lists every p' for
+``rate --all-projections``.
+
+Span decisions use ``prefix.DEP_TOL`` on residuals against
+gram_schmidt(sorted C).  Straggler rule: once a group is formed, any state
+whose residual against the grown set's own basis is below DEP_TOL joins it,
+until none is left; without it such a state was later picked "inside" the
+span and the search failed.
+
 Kraft feasibility is tracked in exact dyadic integers and objectives in
 exact scaled integers (floats are dyadic rationals), so optima and
-tie-breaks are decided without rounding error.
+tie-breaks are decided without rounding error.  On random generic
+ensembles (Python 3.11, numpy 2.4, one core of a shared 2-CPU machine) the
+search takes 0.1 s at n=10, d=5; 0.6 s at n=12, d=6; 2.7 s at n=14, d=7
+(6 476 closed sets, against 329 s for the enumeration it replaced); and
+16 s at n=16, d=8.
 """
 
 from __future__ import annotations
@@ -34,9 +57,7 @@ from .errors import ValidationError
 from .prefix import DEP_TOL, gram_schmidt
 from .qstring import EPS, BitString, QubitString, base_length
 
-# Resolution for probability comparisons and deduplication of projections.
-PROB_TOL = 1e-12
-# Enumeration refusal threshold for sequential projections.
+# Refusal threshold of the rate search and the projection enumeration.
 MAX_STATES = 20
 
 
@@ -126,17 +147,52 @@ def _scaled_ints(p):
     return [int(f * denom) for f in fracs], denom
 
 
+def _level_dp(moves, left):
+    """The level recurrence behind every rate here, as (steps, cost).
+
+    A code tree is grown one level at a time; a DP state is (s, l, a), with
+    a free nodes at level l.  It either emits one of ``moves(s)``, pairs
+    (w, t) of an exact integer weight and the next s, on one node at cost
+    w * l, or descends a level, where every free node splits in two.
+    ``left(s)`` is the most groups still to come (0 at the end); nodes
+    beyond it are never used, so a is capped there and a state with
+    a >= left(s) never descends.
+
+    ``steps(state)`` lists (w, cost, next state), emits in ``moves`` order
+    and then the descent with w None; ``cost(state)`` is the least cost of
+    finishing, memoised.  Walks back from the root follow ``steps``.
+    """
+    memo = {}
+
+    def steps(state):
+        s, l, a = state
+        out = [(w, w * l, (t, l, min(a - 1, left(t)))) for w, t in moves(s)
+               if a > 1 or not left(t)]  # the last node ends the tree
+        if a < left(s):
+            out.append((None, 0, (s, l + 1, min(2 * a, left(s)))))
+        return out
+
+    def cost(state):
+        got = memo.get(state)
+        if got is None:
+            got = 0
+            if left(state[0]):
+                got = min(c + cost(nxt) for _, c, nxt in steps(state))
+            memo[state] = got
+        return got
+
+    return steps, cost
+
+
 def monotone_entropy(p):
     """Minimize sum_i p_i l_i over nondecreasing Kraft-feasible integer tuples.
 
-    Returns (value, LengthAssignment).  A depth-first search walks tuples in
-    lexicographic order; branches are cut once the exact partial objective
-    plus (remaining mass) * (current level) can no longer beat the best
-    tuple, so ties resolve to the lexicographically smallest minimizer.
-    Optimal tuples never need entries above max(n-1, ceil(log2 n)): an
-    optimum always saturates Kraft (else the first entry of the longest
-    block could shrink), and a saturated tuple is the leaf profile of a
-    full binary tree, whose depth is at most n-1.
+    Returns (value, LengthAssignment).  This is the level recurrence of
+    :func:`_level_dp` on a chain: state i emits weight i and moves to i + 1,
+    over O(n^3) states (index, level, free nodes) in exact integers.  The
+    walk back from the root emits whenever emitting stays optimal, which
+    gives the item its shortest possible length, so ties resolve to the
+    lexicographically smallest minimizer.
     """
     p = [float(x) for x in p]
     n = len(p)
@@ -144,115 +200,216 @@ def monotone_entropy(p):
         raise ValidationError("empty distribution")
     if any(x <= 0.0 for x in p):
         raise ValidationError("monotone entropy needs strictly positive weights")
-    cap = max(n - 1, math.ceil(math.log2(n))) if n > 1 else 0
     nums, denom = _scaled_ints(p)
-    suffix = [0] * (n + 1)
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] + nums[i]
-    budget = 1 << cap
-    best_obj = None
-    best = None
-    chosen = [0] * n
-
-    def walk(i, floor, used, obj):
-        nonlocal best_obj, best
-        if i == n:
-            if best_obj is None or obj < best_obj:
-                best_obj, best = obj, tuple(chosen)
-            return
-        rest = n - i - 1
-        for l in range(floor, cap + 1):
-            if best_obj is not None and obj + suffix[i] * l >= best_obj:
-                break
-            cost = 1 << (cap - l)
-            if used + cost + rest > budget:
-                continue
-            chosen[i] = l
-            walk(i + 1, l, used + cost, obj + nums[i] * l)
-
-    walk(0, 0, 0, 0)
-    value = float(Fraction(best_obj, denom))
-    return value, LengthAssignment(best, value)
+    steps, cost = _level_dp(lambda i: ((nums[i], i + 1),), lambda i: n - i)
+    state, lengths = (0, 0, 1), []
+    while state[0] < n:
+        w, _, nxt = next(step for step in steps(state)
+                         if step[1] + cost(step[2]) == cost(state))
+        if w is not None:
+            lengths.append(state[1])
+        state = nxt
+    value = float(Fraction(cost((0, 0, 1)), denom))
+    return value, LengthAssignment(tuple(lengths), value)
 
 
-def _residual(vec, basis):
-    w = np.asarray(vec, dtype=complex).copy()
-    for u in basis:
-        w = w - np.vdot(u, w) * u
-    return w
+def _bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+class _Closures:
+    """Span closures of an ensemble, on bit masks of state indices.
+
+    The one source of groups for :func:`optimal_rate` and
+    :func:`sequential_projections`.  A closed set C has the basis
+    gram_schmidt(sorted C); every state outside C is projected off that
+    basis once per C, by the same operations as gram_schmidt, and a pick
+    then costs one more projection per state: picking i adds i's unit
+    residual u, and a state joins i's group when its residual off u is
+    below DEP_TOL.  Straggler rule: a state whose residual against the
+    grown set's own basis is below DEP_TOL joins the group too, repeated
+    until none is left, so every state outside a closed set lies at least
+    DEP_TOL off its basis and every pick adds a dimension.
+    """
+
+    def __init__(self, ensemble: Ensemble):
+        if ensemble.n > MAX_STATES:
+            raise ValidationError("refusing to enumerate projections for more than %d states"
+                                  % MAX_STATES)
+        self.probs = [float(x) for x in ensemble.probs]
+        self.vecs = [np.asarray(v, dtype=complex) for v in ensemble.vectors]
+        self.full = (1 << ensemble.n) - 1
+        # every group weighs at least the least state weight, so this
+        # denominator makes every group weight an exact integer
+        self.denom = 1 << (53 - math.frexp(min(self.probs))[1])
+        self._outside = {}
+        self._picks = {}
+        self._moves = {}
+        self._left = {self.full: 0}
+
+    def _residuals(self, closed):
+        """(states outside ``closed``, their residuals as rows, residual norms,
+        mask of the states whose residual is below DEP_TOL)."""
+        got = self._outside.get(closed)
+        if got is None:
+            basis, _ = gram_schmidt([self.vecs[j] for j in _bits(closed)], DEP_TOL)
+            outside = _bits(self.full & ~closed)
+            rows = []
+            for j in outside:
+                w = self.vecs[j].copy()
+                for u in basis:
+                    w = w - np.vdot(u, w) * u
+                rows.append(w)
+            norms = [float(np.linalg.norm(w)) for w in rows]
+            weak = sum(1 << j for j, x in zip(outside, norms) if x < DEP_TOL)
+            got = (outside, np.array(rows), norms, weak)
+            self._outside[closed] = got
+        return got
+
+    def picks(self, closed):
+        """(pick, members, weight, grown closed set) for each pick, ascending."""
+        got = self._picks.get(closed)
+        if got is None:
+            outside, rows, norms, _ = self._residuals(closed)
+            got = []
+            if outside:
+                # |w_j|^2 - |<u_i, w_j>|^2, the squared residual of j once i
+                # is picked, for every pair at once; its rounding error is
+                # far below the bound, so a pair above it is no member and
+                # only the rest take the exact test
+                sq = np.square(norms)
+                gram = np.abs(rows.conj() @ rows.T) ** 2 / sq[:, None]
+                near = (sq[None, :] - gram) < (10.0 * DEP_TOL) ** 2
+            for k, i in enumerate(outside):
+                u = rows[k] / norms[k]
+                grown = closed | 1 << i
+                for m in np.flatnonzero(near[k]):
+                    w = rows[m]
+                    if m != k and float(np.linalg.norm(w - np.vdot(u, w) * u)) < DEP_TOL:
+                        grown |= 1 << outside[m]
+                while grown != self.full and self._residuals(grown)[3]:
+                    grown |= self._residuals(grown)[3]
+                members = tuple(_bits(grown & ~closed))
+                got.append((i, members, math.fsum(self.probs[j] for j in members), grown))
+            self._picks[closed] = got
+        return got
+
+    def moves(self, closed):
+        """Distinct (weight as an integer over ``denom``, grown closed set)."""
+        got = self._moves.get(closed)
+        if got is None:
+            grown = {t: w for _, _, w, t in self.picks(closed)}
+            got = []
+            for t, w in grown.items():
+                num, den = w.as_integer_ratio()
+                got.append((num * (self.denom // den), t))
+            self._moves[closed] = got
+        return got
+
+    def left(self, closed):
+        """Most picks still to come from ``closed``."""
+        got = self._left.get(closed)
+        if got is None:
+            got = self._left[closed] = 1 + max(self.left(t) for _, t in self.moves(closed))
+        return got
+
+    def first_order(self, key):
+        """Picks of the first choice order, depth first, whose p' rounds to ``key``."""
+        dead = set()
+
+        def walk(closed, k):
+            if k == len(key):
+                return () if closed == self.full else None
+            if (closed, k) not in dead:
+                for pick in self.picks(closed):
+                    if round(pick[2], 12) == key[k]:
+                        rest = walk(pick[3], k + 1)
+                        if rest is not None:
+                            return (pick,) + rest
+                dead.add((closed, k))
+            return None
+
+        return walk(0, 0)
 
 
 def sequential_projections(ensemble: Ensemble):
     """All distinct grouped weight vectors p', with one witness grouping each.
 
-    Performs a depth-first search over consumption states.  The span grown
-    by any choice order is determined by the set of consumed indices alone,
-    which makes the state space memoizable; p' vectors are deduplicated at
-    1e-12 resolution.
+    Performs a depth-first search over closed sets, picks in ascending
+    order; the span grown by any choice order is determined by the set of
+    consumed indices alone, which makes the search memoizable.  p' vectors
+    are deduplicated at 12-decimal rounding, keeping the first witness.
     """
-    n = ensemble.n
-    if n > MAX_STATES:
-        raise ValidationError("refusing to enumerate projections for more than %d states"
-                              % MAX_STATES)
-    probs = [float(x) for x in ensemble.probs]
-    vecs = [np.asarray(v, dtype=complex) for v in ensemble.vectors]
+    closures = _Closures(ensemble)
+    memo = {closures.full: [((), (), ())]}
 
-    basis_cache: dict[frozenset, list] = {}
+    def expand(closed):
+        if closed not in memo:
+            seen = {}
+            for i, members, weight, grown in closures.picks(closed):
+                for ps, gs, rs in expand(grown):
+                    cand = ((weight,) + ps, (members,) + gs, (i,) + rs)
+                    seen.setdefault(tuple(round(x, 12) for x in cand[0]), cand)
+            memo[closed] = list(seen.values())
+        return memo[closed]
 
-    def basis_for(consumed: frozenset):
-        if consumed not in basis_cache:
-            ortho, _ = gram_schmidt([vecs[j] for j in sorted(consumed)], DEP_TOL)
-            basis_cache[consumed] = ortho
-        return basis_cache[consumed]
+    return tuple(SequentialProjection(*cand) for cand in expand(0))
 
-    memo: dict[frozenset, list] = {}
 
-    def expand(consumed: frozenset):
-        if consumed in memo:
-            return memo[consumed]
-        remaining = [j for j in range(n) if j not in consumed]
-        if not remaining:
-            memo[consumed] = [((), (), ())]
-            return memo[consumed]
-        seen = {}
-        span = basis_for(consumed)
-        for i in remaining:
-            step = _residual(vecs[i], span)
-            nrm = float(np.linalg.norm(step))
-            if nrm < DEP_TOL:  # cannot happen: dependents were absorbed earlier
-                raise ValidationError("internal: representative already in span")
-            grown = span + [step / nrm]
-            members = tuple(sorted(
-                j for j in remaining
-                if j == i or float(np.linalg.norm(_residual(vecs[j], grown))) < DEP_TOL))
-            weight = math.fsum(probs[j] for j in members)
-            for ps, gs, rs in expand(consumed | set(members)):
-                cand = ((weight,) + ps, (members,) + gs, (i,) + rs)
-                key = tuple(round(x, 12) for x in cand[0])
-                if key not in seen:
-                    seen[key] = cand
-        memo[consumed] = list(seen.values())
-        return memo[consumed]
+def _least_weights(closures, steps, cost, rate):
+    """Lexicographically least p', as integers over ``denom``, of float value ``rate``.
 
-    out = []
-    for ps, gs, rs in expand(frozenset()):
-        out.append(SequentialProjection(ps, gs, rs))
-    return tuple(out)
+    Walks p' one group at a time over a frontier of DP states (closed set,
+    level, free nodes), each with the least exact cost spent to reach it.
+    A next group, emitted after any number of descents, is admissible when
+    that cost plus the best finish still rounds to ``rate``; the least
+    admissible weight is taken and every state reaching it kept.  A
+    finished state ends the walk, since a prefix sorts first.
+    """
+    frontier = {(0, 0, 1): 0}
+    weights = []
+    while all(state[0] != closures.full for state in frontier):
+        least, nxt = None, {}
+        for state, spent in frontier.items():
+            todo = [state]
+            while todo:
+                for w, c, after in steps(todo.pop()):
+                    if w is None:
+                        todo.append(after)
+                    elif least is None or w <= least:
+                        if (spent + c + cost(after)) / closures.denom == rate:
+                            if least is None or w < least:
+                                least, nxt = w, {}
+                            nxt[after] = min(spent + c, nxt.get(after, spent + c))
+        weights.append(least)
+        frontier = nxt
+    return tuple(weights)
 
 
 def optimal_rate(ensemble: Ensemble):
     """Best expected base length over all sequential projections.
 
-    Returns (rate, best projection, best LengthAssignment); ties are broken
-    by the lexicographically smallest p'.
+    Returns (rate, best projection, best LengthAssignment).  The level
+    recurrence of :func:`_level_dp` runs over (closed set, level, free
+    nodes), a group costing its weight times its level, in exact integers.
+    Ties are broken as a scan of :func:`sequential_projections` would:
+    on the float rate, then the exact p', then the earliest choice order.
     """
-    best = None
-    for proj in sequential_projections(ensemble):
-        value, assignment = monotone_entropy(proj.probs)
-        cand = (value, proj.probs, proj, assignment)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    return best[0], best[2], best[3]
+    closures = _Closures(ensemble)
+    steps, cost = _level_dp(closures.moves, closures.left)
+    rate = cost((0, 0, 1)) / closures.denom
+    probs = tuple(w / closures.denom for w in _least_weights(closures, steps, cost, rate))
+    order = closures.first_order(tuple(round(x, 12) for x in probs))
+    if tuple(pick[2] for pick in order) == probs:
+        proj = SequentialProjection(probs, tuple(pick[1] for pick in order),
+                                    tuple(pick[0] for pick in order))
+    else:
+        # the enumeration keeps an earlier p' that rounds alike but differs
+        # in its last bits, and it may then win with another p'
+        proj = min(sequential_projections(ensemble),
+                   key=lambda q: (monotone_entropy(q.probs)[0], q.probs))
+    value, assignment = monotone_entropy(proj.probs)
+    return value, proj, assignment
 
 
 def canonical_codewords(lengths):

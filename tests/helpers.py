@@ -23,10 +23,10 @@ def random_prefix_code(rng: np.random.Generator, n: int,
 
     Splitting a leaf keeps the leaf set prefix-free with Kraft sum exactly
     one; with full=False one extra split plus a deletion leaves the sum
-    strictly below one.
+    strictly below one, so n must then stay below 2**max_len.
     """
-    if not 2 <= n <= (1 << max_len):
-        raise ValueError("need 2 <= n <= 2**max_len")
+    if not 2 <= n <= (1 << max_len) - (0 if full else 1):
+        raise ValueError("need 2 <= n <= 2**max_len, and n < 2**max_len if not full")
     target = n if full else n + 1
     leaves = [BitString(0, 0)]
     while len(leaves) < target:
@@ -123,3 +123,26 @@ def random_ensemble(rng: np.random.Generator, n: int, d: int,
                     break
         vecs.append(v)
     return Ensemble.from_states(random_dist(rng, n), vecs)
+
+
+def near_degenerate_ensemble(rng: np.random.Generator, n: int, d: int) -> Ensemble:
+    """States e1, e2, a third pushed 1e-9..1e-5 off their span, then n - 3 more.
+
+    The benchmark's near-degenerate recipe (``perfbench/workloads.py``):
+    the third state sits near the span-decision threshold, and weights are
+    0.2 + U(0, 1), normalized.  Needs n >= 3 and d >= 3.
+    """
+    v1, v2 = random_unit(rng, d), random_unit(rng, d)
+    q, _ = np.linalg.qr(np.column_stack([v1, v2]))
+    w = random_unit(rng, d)
+    w = w - q @ (q.conj().T @ w)
+    w /= np.linalg.norm(w)
+    c = random_unit(rng, 2)
+    inside = c[0] * v1 + c[1] * v2
+    inside /= np.linalg.norm(inside)
+    eps = 10.0 ** rng.uniform(-9.0, -5.0)
+    v3 = inside + eps * w
+    v3 /= np.linalg.norm(v3)
+    vecs = [v1, v2, v3] + [random_unit(rng, d) for _ in range(n - 3)]
+    p = 0.2 + rng.random(n)
+    return Ensemble.from_states(p / p.sum(), vecs)

@@ -100,6 +100,17 @@ def test_classical_codes_collapse_the_chain(seed):
     assert chain.trace_term == 1.0 if full else chain.trace_term < 1.0
 
 
+def test_random_prefix_code_refuses_sizes_it_cannot_build():
+    rng = np.random.default_rng(0)
+    assert len(random_prefix_code(rng, 8, max_len=3)) == 8
+    assert len(random_prefix_code(rng, 7, max_len=3, full=False)) == 7
+    # full=False grows n + 1 leaves, one more than depth 3 holds
+    with pytest.raises(ValueError, match="2\\*\\*max_len"):
+        random_prefix_code(rng, 8, max_len=3, full=False)
+    with pytest.raises(ValueError, match="2\\*\\*max_len"):
+        random_prefix_code(rng, 9, max_len=3)
+
+
 @given(seeds)
 def test_rotated_bases_keep_the_chain_ordered(seed):
     rng = np.random.default_rng(seed)
