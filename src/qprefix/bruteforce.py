@@ -11,11 +11,6 @@ configuration at a time, against the batched integer engine of
 rational arithmetic (floats are dyadic rationals, so the scaling below is
 lossless) and Kraft sums in exact dyadic integers, so the results can be
 trusted as test oracles.
-
-Prefix-freedom of zero-padded registers can also be read off reduced
-density operators: the code word phi, padded to l_max qubits and reduced to
-its first n qubits, must be orthogonal to every other word psi of length n.
-The dense test below does that for length eigenvectors.
 """
 
 from __future__ import annotations
@@ -29,15 +24,13 @@ import numpy as np
 
 from .channel import BookResult, ComparisonReport, SimulationReport
 from .errors import ValidationError
-from .prefix import Witness, is_orthonormal
+from .prefix import Witness
 from .qstring import EPS, BitString, QubitString, base_length, zero_extended
 
 MAX_N = 8
 MAX_CAP = 16
 # Longest base length the exhaustive suffix scan accepts.
 MAX_SCAN_LENGTH = 12
-# Qubit count above which dense reduced density matrices are refused.
-MAX_FRAGMENT_QUBITS = 12
 # Longest register the reference channel engine accepts.
 MAX_CHANNEL_LMAX = 16
 
@@ -212,91 +205,6 @@ def prefix_free_bruteforce(vectors):
                     if abs(acc) > EPS:
                         return False, Witness(i, j, s)
     return True, None
-
-
-@dataclass(frozen=True, eq=False)
-class DensityFragment:
-    """Reduced density operator on the first ``qubits`` qubits of a register."""
-    qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.qubits
-        if not 0 <= n <= MAX_FRAGMENT_QUBITS:
-            raise ValidationError("dense fragments support at most %d qubits"
-                                  % MAX_FRAGMENT_QUBITS)
-        m = self.matrix
-        if m.shape != (1 << n, 1 << n):
-            raise ValidationError("matrix shape does not match qubit count")
-        if np.max(np.abs(m - m.conj().T)) > EPS:
-            raise ValidationError("reduced state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > EPS:
-            raise ValidationError("reduced state trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -EPS:
-            raise ValidationError("reduced state is not positive semidefinite")
-
-    def expectation(self, psi: QubitString) -> float:
-        """<psi| rho |psi> for a state supported on ``qubits``-bit strings."""
-        acc = 0j
-        for a_bits, a_amp in psi.items_sorted():
-            if a_bits.length != self.qubits:
-                raise ValidationError("state length does not match the fragment")
-            for b_bits, b_amp in psi.items_sorted():
-                acc += (a_amp.conjugate()
-                        * self.matrix[a_bits.value, b_bits.value] * b_amp)
-        return acc.real
-
-
-def reduced_prefix_state(phi: QubitString, n: int, l_max: int) -> DensityFragment:
-    """Trace qubits n+1 .. l_max out of the zero-extended form of ``phi``."""
-    if n < 0 or n > l_max:
-        raise ValidationError("need 0 <= n <= l_max")
-    if n > MAX_FRAGMENT_QUBITS:
-        raise ValidationError("dense fragments support at most %d qubits"
-                              % MAX_FRAGMENT_QUBITS)
-    if not phi.is_normalized():
-        raise ValidationError("reduced states are defined for normalized inputs")
-    padded = zero_extended(phi, l_max)
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    by_tail: dict[BitString, list] = {}
-    for s, a in padded.items_sorted():
-        head, tail = s.prefix(n), BitString(l_max - n, s.value & ((1 << (l_max - n)) - 1))
-        by_tail.setdefault(tail, []).append((head.value, a))
-    for group in by_tail.values():
-        for ia, aa in group:
-            for ib, ab in group:
-                rho[ia, ib] += aa * ab.conjugate()
-    return DensityFragment(n, rho)
-
-
-def _eigen_length(psi: QubitString) -> int:
-    lengths = {s.length for s in psi.terms}
-    if len(lengths) != 1:
-        raise ValidationError("state is not a length eigenvector")
-    return lengths.pop()
-
-
-def distinguishable_by_prefix(vectors) -> bool:
-    """Prefix distinguishability of orthonormal length eigenvectors.
-
-    Equivalent to prefix-freedom on such systems: for every ordered pair,
-    the reduction of the padded phi to the first len(psi) qubits must not
-    overlap psi.
-    """
-    vectors = list(vectors)
-    lengths = [_eigen_length(v) for v in vectors]
-    if not is_orthonormal(vectors):
-        raise ValidationError("prefix distinguishability needs an orthonormal system")
-    l_max = max(lengths)
-    for i, phi in enumerate(vectors):
-        for j, psi in enumerate(vectors):
-            if i == j:
-                continue
-            rho = reduced_prefix_state(phi, lengths[j], l_max)
-            if rho.expectation(psi) > EPS:
-                return False
-    return True
 
 
 def _sample_branch(kind: str, q: float, rng) -> str:

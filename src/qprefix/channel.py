@@ -48,6 +48,10 @@ MAX_SUPPORT = 1 << 20
 # rows, and their noise is drawn in blocks of at most this many uniforms,
 # so memory stays bounded whatever the trial count.
 CHUNK_ROWS = 1 << 14
+# Most trials a run or race accepts, checked before anything is drawn.  The
+# CLI default is 1000 and no bundled script or check runs more than 20 000;
+# at the cap a race's symbol draw takes 80 MB.
+MAX_TRIALS = 10 ** 7
 
 NOISE_KINDS = ("none", "bitflip", "phaseflip", "depolarizing")
 SCHEDULES = ("constant", "linear")
@@ -479,6 +483,13 @@ def _bob_fidelities(rows, phase, alice, amps, l_max: int) -> list:
     return [math.fsum(squares[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValidationError("at most %d trials are allowed" % MAX_TRIALS)
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     trials: int
@@ -499,8 +510,7 @@ def run(message: QubitString, book: CodeBook, l_max: int,
     back to zero), evaluated on a noiseless trajectory that rides along in
     the first chunk as one all-identity row.
     """
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _check_trials(trials)
     alice, amps = init_channel(message, book, l_max)
     qs = noise.step_probs(l_max)
 
@@ -572,8 +582,7 @@ def compare_codes(probs, book_a: CodeBook, book_b: CodeBook,
     for book in (book_a, book_b):
         if len(book.words) != len(probs):
             raise ValidationError("book size does not match the distribution")
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _check_trials(trials)
 
     symbols = np.random.default_rng(noise.seed).choice(
         len(probs), size=trials, p=np.asarray(probs) / math.fsum(probs))

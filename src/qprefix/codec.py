@@ -54,8 +54,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .prefix import DEP_TOL, gram_schmidt
-from .qstring import EPS, BitString, QubitString, base_length
+from .prefix import DEP_TOL, _residual, gram_schmidt
+from .qstring import EPS, BitString, QubitString
 
 # Refusal threshold of the rate search and the projection enumeration.
 MAX_STATES = 20
@@ -223,10 +223,10 @@ class _Closures:
     The one source of groups for :func:`optimal_rate` and
     :func:`sequential_projections`.  A closed set C has the basis
     gram_schmidt(sorted C); every state outside C is projected off that
-    basis once per C, by the same operations as gram_schmidt, and a pick
-    then costs one more projection per state: picking i adds i's unit
-    residual u, and a state joins i's group when its residual off u is
-    below DEP_TOL.  Straggler rule: a state whose residual against the
+    basis once per C by ``prefix._residual``, the loop gram_schmidt runs,
+    and a pick then costs one more projection per state: picking i adds
+    i's unit residual u, and a state joins i's group when its residual off
+    u is below DEP_TOL.  Straggler rule: a state whose residual against the
     grown set's own basis is below DEP_TOL joins the group too, repeated
     until none is left, so every state outside a closed set lies at least
     DEP_TOL off its basis and every pick adds a dimension.
@@ -234,8 +234,8 @@ class _Closures:
 
     def __init__(self, ensemble: Ensemble):
         if ensemble.n > MAX_STATES:
-            raise ValidationError("refusing to enumerate projections for more than %d states"
-                                  % MAX_STATES)
+            raise ValidationError("ensemble has %d states, above the state cap of %d"
+                                  % (ensemble.n, MAX_STATES))
         self.probs = [float(x) for x in ensemble.probs]
         self.vecs = [np.asarray(v, dtype=complex) for v in ensemble.vectors]
         self.full = (1 << ensemble.n) - 1
@@ -252,14 +252,9 @@ class _Closures:
         mask of the states whose residual is below DEP_TOL)."""
         got = self._outside.get(closed)
         if got is None:
-            basis, _ = gram_schmidt([self.vecs[j] for j in _bits(closed)], DEP_TOL)
+            basis, _ = gram_schmidt([self.vecs[j] for j in _bits(closed)])
             outside = _bits(self.full & ~closed)
-            rows = []
-            for j in outside:
-                w = self.vecs[j].copy()
-                for u in basis:
-                    w = w - np.vdot(u, w) * u
-                rows.append(w)
+            rows = [_residual(self.vecs[j], basis) for j in outside]
             norms = [float(np.linalg.norm(w)) for w in rows]
             weak = sum(1 << j for j, x in zip(outside, norms) if x < DEP_TOL)
             got = (outside, np.array(rows), norms, weak)
@@ -460,7 +455,7 @@ def build_code(ensemble: Ensemble) -> LosslessCode:
     """Construct an optimal lossless prefix code for the ensemble."""
     rate, proj, assignment = optimal_rate(ensemble)
     reps = [np.asarray(ensemble.vectors[i], dtype=complex) for i in proj.reps]
-    ortho, flags = gram_schmidt(reps, DEP_TOL)
+    ortho, flags = gram_schmidt(reps)
     if any(flags):
         raise ValidationError("internal: representatives must be independent")
     basis_in = np.array(ortho)

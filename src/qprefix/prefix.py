@@ -13,8 +13,8 @@ hold, with the first two inequalities tight exactly when every e_i is a
 length eigenvector (single support length).  The third sum is the trace of
 2^(-Lambda) over the spanned subspace.
 
-The dense reduced-state test of prefix distinguishability and the
-exhaustive suffix scan live in :mod:`qprefix.bruteforce` as oracles.
+The exhaustive suffix scan lives in :mod:`qprefix.bruteforce` as the
+oracle.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _orthonormality_defect(vectors) -> float:
     return worst
 
 
-def is_orthonormal(vectors, eps: float = EPS) -> bool:
-    return _orthonormality_defect(vectors) <= eps
+def is_orthonormal(vectors) -> bool:
+    return _orthonormality_defect(vectors) <= EPS
 
 
 def _tails_by_head(phi: dict) -> dict:
@@ -188,22 +188,27 @@ def kraft_chain(basis: PrefixBasis) -> KraftChain:
     return KraftChain(s_base, s_avg, trace)
 
 
-def gram_schmidt(vectors, tol: float = DEP_TOL):
+def _residual(v, basis):
+    """``v`` as a complex array minus its component along each vector of the
+    orthonormal ``basis``, one at a time (modified Gram-Schmidt)."""
+    w = np.asarray(v, dtype=complex)
+    for u in basis:
+        w = w - np.vdot(u, w) * u
+    return w
+
+
+def gram_schmidt(vectors):
     """Orthonormalize ambient vectors in order; returns (orthonormal list, dependent flags).
 
-    An input whose residual norm after projection drops below ``tol`` is
-    flagged as dependent and excluded from the output list.
+    An input whose residual norm after projection drops below ``DEP_TOL``
+    is flagged as dependent and excluded from the output list.
     """
     ortho = []
     flags = []
     for v in vectors:
-        w = np.asarray(v, dtype=complex).copy()
-        for u in ortho:
-            w = w - np.vdot(u, w) * u
+        w = _residual(v, ortho)
         nrm = float(np.linalg.norm(w))
-        if nrm < tol:
-            flags.append(True)
-            continue
-        flags.append(False)
-        ortho.append(w / nrm)
+        flags.append(nrm < DEP_TOL)
+        if not flags[-1]:
+            ortho.append(w / nrm)
     return ortho, flags

@@ -182,8 +182,8 @@ class QubitString:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_normalized(self, eps: float = EPS) -> bool:
-        return abs(self.norm_sq() - 1.0) <= eps
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= EPS
 
     def normalized(self) -> "QubitString":
         n = self.norm()

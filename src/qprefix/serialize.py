@@ -18,7 +18,7 @@ import numpy as np
 from .channel import CodeBook
 from .codec import Ensemble, LosslessCode, SequentialProjection
 from .errors import ValidationError
-from .qstring import BitString, QubitString, _check_text
+from .qstring import EPS, BitString, QubitString, _check_text
 
 
 def load_json(path):
@@ -183,7 +183,7 @@ def dist_from_obj(obj):
     probs = [_as_prob(x) for x in _as_list(_require(obj, "probs", "distribution"),
                                            "distribution probs")]
     if (not probs or any(not 0.0 <= x <= 1.0 for x in probs)
-            or abs(math.fsum(probs) - 1.0) > 1e-9):
+            or abs(math.fsum(probs) - 1.0) > EPS):
         raise ValidationError("not a probability distribution")
     return probs
 

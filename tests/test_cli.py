@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qprefix import NoiseModel, build_code, cli, compare_codes_bruteforce, prefix
+from qprefix import (NoiseModel, build_code, channel, cli, codec,
+                     compare_codes_bruteforce, prefix)
 from qprefix.cli import main
 from qprefix.serialize import (book_from_obj, code_to_obj, dist_from_obj,
                                ensemble_from_obj, load_json, round_floats)
@@ -542,3 +543,34 @@ def test_books_with_64_bit_words_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "simulate", "--code", book, "--message", msg)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error
+
+
+def test_trial_counts_above_the_cap_exit_2(capsys):
+    # the cap is checked before the message is loaded into rows or any
+    # symbol is drawn, so an absurd count fails at once
+    trials = str(channel.MAX_TRIALS + 1)
+    for argv in (["simulate", "--code", f"{FIX}/book_compressed.json",
+                  "--message", f"{FIX}/message_plus.json"],
+                 ["compare", "--bookA", f"{FIX}/book_compressed.json",
+                  "--bookB", f"{FIX}/book_fixed.json", "--dist", f"{FIX}/dist_uniform3.json"]):
+        code, out, err = run_cli(capsys, *argv, "--trials", trials)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "at most %d trials are allowed" % channel.MAX_TRIALS
+
+
+def test_rate_above_the_state_cap_exits_2(capsys, tmp_path):
+    n = codec.MAX_STATES + 1
+    states = [{"p": 1.0 / n, "amps": [[float(i == j), 0.0] for j in range(n)]}
+              for i in range(n)]
+    ens = _write(tmp_path / "big.json", {"dimension": n, "states": states})
+    code, out, err = run_cli(capsys, "rate", "--ensemble", ens)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ensemble has 21 states, above the state cap of 20"
+
+
+def test_simulate_above_the_support_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(channel, "MAX_SUPPORT", 1)
+    code, out, err = run_cli(capsys, "simulate", "--code", f"{FIX}/book_compressed.json",
+                             "--message", f"{FIX}/message_plus.json", "--trials", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "joint support exceeds 1 configurations"

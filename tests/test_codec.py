@@ -277,5 +277,5 @@ def test_rate_never_exceeds_shannon_plus_one(seed):
 def test_projection_enumeration_refuses_oversized_ensembles():
     n = 21
     ens = Ensemble.from_states((1.0 / n,) * n, list(np.eye(n)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="above the state cap of 20"):
         sequential_projections(ens)

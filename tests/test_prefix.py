@@ -1,6 +1,4 @@
-"""Prefix-freedom certificates, the Kraft chain, and the dense reduced-state oracle."""
-
-import math
+"""Prefix-freedom certificates, the Kraft chain and Gram-Schmidt."""
 
 import numpy as np
 import pytest
@@ -13,8 +11,6 @@ from qprefix import (BitString, KraftChain, PrefixBasis, QubitString,
                      ValidationError, concat, gram_schmidt, inner,
                      is_orthonormal, is_prefix_free, ket, kraft_chain, prefix,
                      subspace_prefix_free)
-from qprefix.bruteforce import (DensityFragment, distinguishable_by_prefix,
-                                reduced_prefix_state)
 
 seeds = st.integers(0, 2**30)
 
@@ -120,89 +116,6 @@ def test_rotated_bases_keep_the_chain_ordered(seed):
     assert chain.sum_base <= chain.sum_avg + 1e-9
     assert chain.sum_avg <= chain.trace_term + 1e-9
     assert chain.trace_term <= 1.0 + 1e-9
-
-
-def test_density_fragment_validation():
-    good = DensityFragment(1, np.eye(2) / 2)
-    assert good.qubits == 1
-    with pytest.raises(ValidationError):
-        DensityFragment(1, np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
-    with pytest.raises(ValidationError):
-        DensityFragment(1, np.eye(2))  # trace 2
-    with pytest.raises(ValidationError):
-        DensityFragment(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
-    with pytest.raises(ValidationError):
-        DensityFragment(2, np.eye(2) / 2)  # wrong shape
-
-
-def test_reduced_prefix_state_hand_cases():
-    assert np.allclose(reduced_prefix_state(PSI, 1, 2).matrix, np.eye(2) / 2)
-    one = reduced_prefix_state(ket("1"), 1, 2).matrix
-    assert np.allclose(one, np.diag([0.0, 1.0]))
-    # equal heads with equal tails keep their coherence
-    coh = (ket("00") + ket("10")).normalized()
-    assert np.allclose(reduced_prefix_state(coh, 1, 2).matrix,
-                       np.full((2, 2), 0.5))
-    # distinct tails decohere the heads
-    dec = (ket("00") + ket("11")).normalized()
-    assert np.allclose(reduced_prefix_state(dec, 1, 2).matrix, np.eye(2) / 2)
-
-
-@given(seeds)
-def test_reduced_prefix_state_matches_dense_partial_trace(seed):
-    rng = np.random.default_rng(seed)
-    words = random_prefix_code(rng, int(rng.integers(2, 6)), max_len=3)
-    psi = QubitString({w: complex(rng.normal(), rng.normal())
-                       for w in words}).normalized()
-    l_max, n = 4, 2
-    rho = reduced_prefix_state(psi, n, l_max).matrix
-    dense = np.zeros(1 << l_max, dtype=complex)
-    from qprefix import zero_extended
-    for s, a in zero_extended(psi, l_max).terms.items():
-        dense[s.value] += a
-    full = np.outer(dense, dense.conj())
-    expected = full.reshape(1 << n, 1 << (l_max - n), 1 << n, 1 << (l_max - n))
-    expected = np.trace(expected, axis1=1, axis2=3)
-    assert np.allclose(rho, expected, atol=1e-12)
-
-
-def test_reduced_prefix_state_rejects_colliding_supports():
-    # |0> and |00> merge under padding, so no normalized register form exists
-    with pytest.raises(ValidationError):
-        reduced_prefix_state((ket("0") + ket("00")).normalized(), 1, 2)
-
-
-def test_expectation_of_a_fragment():
-    rho = reduced_prefix_state(PSI, 1, 2)
-    assert rho.expectation(ket("0")) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValidationError):
-        rho.expectation(PSI)  # psi must live on exactly n qubits
-
-
-def test_distinguishable_by_prefix_on_classical_codes():
-    assert distinguishable_by_prefix([ket("0"), ket("10"), ket("11")])
-    assert not distinguishable_by_prefix([ket("0"), ket("01")])
-
-
-def test_distinguishable_by_prefix_rejects_non_eigenvectors():
-    with pytest.raises(ValidationError):
-        distinguishable_by_prefix([PSI, PHI])  # mixed-length supports
-    with pytest.raises(ValidationError):
-        distinguishable_by_prefix([ket("0"), ket("0")])  # not orthonormal
-
-
-@given(seeds)
-def test_prefix_freedom_agrees_with_reduced_state_test(seed):
-    # two certificates for the same property, on length-eigenvector bases
-    rng = np.random.default_rng(seed)
-    words = random_prefix_code(rng, int(rng.integers(2, 7)), max_len=5)
-    vectors = [ket(s) for s in words]
-    assert is_prefix_free(vectors)[0]
-    assert distinguishable_by_prefix(vectors)
-    j = int(rng.integers(len(words)))
-    bad = vectors + [ket(words[j].concat(BitString(1, 0)))]
-    assert not is_prefix_free(bad)[0]
-    assert not distinguishable_by_prefix(bad)
 
 
 def test_gram_schmidt_on_dense_strings():
