@@ -136,12 +136,7 @@ class CodeBook:
 
     @property
     def max_length(self) -> int:
-        return max(w.length for w in self.words)
-
-    @cached_property
-    def _keys(self) -> frozenset:
-        """Each word packed as one integer, 1 << length | value."""
-        return frozenset((1 << w.length) | w.value for w in self.words)
+        return max(self.words).length  # integer order is (length, value) order
 
     @cached_property
     def _by_length(self) -> dict:
@@ -151,8 +146,9 @@ class CodeBook:
         """
         out: dict = {}
         for w in self.words:
-            if w.length <= MAX_LMAX:
-                out.setdefault(w.length, []).append(w.value)
+            n = w.bit_length() - 1  # len(w), without a Python-level call
+            if n <= MAX_LMAX:
+                out.setdefault(n, []).append(w ^ (1 << n))
         return {k: np.sort(np.array(v, dtype=np.int64)) for k, v in out.items()}
 
 
@@ -161,14 +157,14 @@ def _prefix_free_in_text_order(words) -> bool:
 
     In text order (values left-aligned to the longest word, then length) a
     word's copies and extensions directly follow it, so adjacent pairs decide.
+    Shifting a packed word left-aligns its value under one common marker bit.
     """
-    lengths = [w.length for w in words]
-    values = [w.value for w in words]
+    lengths = [w.bit_length() - 1 for w in words]  # as in _by_length
     top = max(lengths)
     order = sorted(range(len(words)),
-                   key=lambda k: (values[k] << (top - lengths[k]), lengths[k]))
+                   key=lambda k: (words[k] << (top - lengths[k]), lengths[k]))
     return not any(lengths[a] <= lengths[b]
-                   and values[b] >> (lengths[b] - lengths[a]) == values[a]
+                   and words[b] >> (lengths[b] - lengths[a]) == words[a]
                    for a, b in zip(order, order[1:]))
 
 
@@ -196,31 +192,32 @@ def init_channel(message: QubitString, book: CodeBook, l_max: int) -> tuple:
     row, so they are not stored.  The message must be normalized and lie in
     the span of the book's code words; superpositions of words are
     explicitly allowed.  The rows follow
-    :func:`~qprefix.qstring.zero_extended`: terms that pad to the same
-    register add up in term order, in the order their registers first
-    occur, and sums below ``PRUNE_SQ`` are dropped.
+    :func:`~qprefix.qstring.zero_extended`: a term ``s`` pads to
+    ``s << (l_max - len(s))``, terms that pad to the same register add up
+    in term order, in the order their registers first occur, and sums
+    below ``PRUNE_SQ`` are dropped.
     """
     if not message.is_normalized():
         raise ValidationError("message must be normalized")
     if base_length(message) > l_max:
         raise ValidationError("message does not fit into l_max qubits")
     terms = message.terms
-    keys = book._keys
-    off = math.fsum(abs(a) ** 2 for s, a in terms.items()
-                    if ((1 << s.length) | s.value) not in keys)
+    words = set(book.words)
+    off = math.fsum(abs(a) ** 2 for s, a in terms.items() if s not in words)
     if math.sqrt(off) >= DEP_TOL:
         raise ValidationError("message lies outside the span of the code words")
     if not 0 <= l_max <= MAX_LMAX:
         raise ValidationError("l_max must lie in [0, %d]" % MAX_LMAX)
     # Terms that pad onto one register add up in term order, as in
-    # zero_extended; only a term outside the book can collide.
+    # zero_extended; only a term outside the book can collide.  The rows
+    # drop the marker bit 1 << l_max of the padded words once.
     padded: dict = {}
     for s, a in terms.items():
-        v = s.value << (l_max - s.length)
+        v = s << (l_max + 1 - s.bit_length())  # s << (l_max - len(s))
         padded[v] = padded.get(v, 0j) + a
     amps = np.fromiter(padded.values(), dtype=complex, count=len(padded))
     keep = amps.real * amps.real + amps.imag * amps.imag >= PRUNE_SQ
-    alice = np.fromiter(padded, dtype=np.int64, count=len(padded))[keep]
+    alice = np.fromiter(padded, dtype=np.int64, count=len(padded))[keep] ^ (1 << l_max)
     amps = amps[keep]
     if len(amps) > MAX_SUPPORT:
         raise ValidationError("joint support exceeds %d configurations" % MAX_SUPPORT)

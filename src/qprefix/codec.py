@@ -71,6 +71,8 @@ class Ensemble:
     def __post_init__(self):
         if len(self.probs) == 0 or len(self.probs) != len(self.vectors):
             raise ValidationError("ensemble needs matching, nonempty probs and vectors")
+        if not all(map(math.isfinite, self.probs)):
+            raise ValidationError("ensemble probabilities must be finite")
         if any(p <= 0.0 for p in self.probs):
             raise ValidationError("ensemble probabilities must be strictly positive")
         if abs(math.fsum(self.probs) - 1.0) > EPS:
@@ -78,6 +80,8 @@ class Ensemble:
         for v in self.vectors:
             if v.shape != (self.dimension,):
                 raise ValidationError("state dimension mismatch")
+            if not np.isfinite(v).all():
+                raise ValidationError("ensemble states must be finite")
             if abs(np.linalg.norm(v) - 1.0) > EPS:
                 raise ValidationError("ensemble states must be unit vectors")
 
@@ -134,7 +138,8 @@ class SequentialProjection:
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits; requires a probability vector."""
     p = [float(x) for x in p]
-    if not p or any(x < 0.0 for x in p) or abs(math.fsum(p) - 1.0) > EPS:
+    if (not p or not all(map(math.isfinite, p)) or any(x < 0.0 for x in p)
+            or abs(math.fsum(p) - 1.0) > EPS):
         raise ValidationError("not a probability distribution")
     # 0.0 - h, not -h: a one-state source has entropy 0.0, never -0.0
     return 0.0 - math.fsum(x * math.log2(x) for x in p if x > 0.0)
@@ -198,6 +203,8 @@ def monotone_entropy(p):
     n = len(p)
     if n == 0:
         raise ValidationError("empty distribution")
+    if not all(map(math.isfinite, p)):
+        raise ValidationError("monotone entropy needs finite weights")
     if any(x <= 0.0 for x in p):
         raise ValidationError("monotone entropy needs strictly positive weights")
     nums, denom = _scaled_ints(p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .qstring import EPS, BitString, avg_length, base_length
+from .qstring import EPS, BitString, _overlap, avg_length, base_length
 
 # Residual norm below which a vector counts as linearly dependent.
 DEP_TOL = 1e-7
@@ -53,34 +53,15 @@ class KraftChain:
             raise ValidationError("Kraft chain ordering violated: %r" % (self,))
 
 
-def _packed(v) -> dict:
-    """The terms of ``v`` keyed by ``1 << length | value``.
-
-    Sorted keys run in (length, value) order, and the concatenation x * s
-    of a packed x with an s of t bits is ``x << t | s.value``.
-    """
-    return {(1 << s.length) | s.value: a for s, a in v.terms.items()}
-
-
-def _overlap(items, other: dict) -> complex:
-    """Sum of conj(a) * other[k] over the sorted packed ``items`` (k, a)."""
-    acc = 0j
-    for k, a in items:
-        b = other.get(k)
-        if b is not None:
-            acc += a.conjugate() * b
-    return acc
-
-
 def _orthonormality_defect(vectors) -> float:
-    # <u|v> runs over the smaller support in (length, value) order, as
-    # qstring.inner does, so every defect is the same float
-    packed = [_packed(v) for v in vectors]
-    items = [sorted(p.items()) for p in packed]
+    # <u|v> runs over the smaller support in (length, value) order through
+    # the loop of qstring.inner, so every defect is the same float
+    terms = [v.terms for v in vectors]
+    items = [sorted(t.items()) for t in terms]
     worst = 0.0
-    for i, u in enumerate(packed):
-        for j in range(i, len(packed)):
-            v = packed[j]
+    for i, u in enumerate(terms):
+        for j in range(i, len(terms)):
+            v = terms[j]
             if len(u) > len(v):
                 g = _overlap(items[j], u).conjugate()
             else:
@@ -95,7 +76,7 @@ def is_orthonormal(vectors) -> bool:
 
 
 def _tails_by_head(phi: dict) -> dict:
-    """Map each proper prefix x of a support string x * s of ``phi`` to its tails s, all packed."""
+    """Map each proper prefix x of a support string x * s of ``phi`` to its tails s, as ints."""
     out: dict[int, list] = {}
     for y in phi:
         for t in range(y.bit_length() - 1, 0, -1):
@@ -116,15 +97,15 @@ def is_prefix_free(vectors):
     length), each evaluated in O(|supp psi|): O(pairs * |supp|^2 * L) in
     all, against the 2^(L+1) suffixes per pair of the scan that
     :func:`qprefix.bruteforce.prefix_free_bruteforce` keeps as the oracle.
-    Supports are packed once (see :func:`_packed`), so every lookup hashes
-    a plain int.
+    A bit string is the int ``1 << length | value``, so x * s is
+    ``x << len(s) | s.value`` and every lookup hashes a plain int.
     """
-    packed = [_packed(v) for v in vectors]
-    tails = [_tails_by_head(p) for p in packed]
-    items = [sorted(p.items()) for p in packed]
-    for i, phi in enumerate(packed):
+    terms = [v.terms for v in vectors]
+    tails = [_tails_by_head(t) for t in terms]
+    items = [sorted(t.items()) for t in terms]
+    for i, phi in enumerate(terms):
         heads = tails[i]
-        for j, psi in enumerate(packed):
+        for j, psi in enumerate(terms):
             candidates = set()
             for x in heads.keys() & psi.keys():
                 candidates.update(heads[x])

@@ -33,22 +33,22 @@ EPS = 1e-9
 PRUNE_SQ = 1e-24
 
 
-class BitString:
-    """Immutable classical bit string, packed as an integer plus a length.
+class BitString(int):
+    """Immutable classical bit string: the integer ``1 << length | value``.
 
-    The first (leftmost) bit is the most significant bit of ``value``.  The
-    empty string has length 0 and value 0.
+    The first (leftmost) bit is the most significant bit of ``value``; the
+    empty string is 1.  It equals, hashes and orders as that integer, and
+    integer order is (length, value) order.
     """
 
-    __slots__ = ("length", "value")
+    __slots__ = ()
 
-    def __init__(self, length: int = 0, value: int = 0):
+    def __new__(cls, length: int = 0, value: int = 0):
         if length < 0:
             raise ValidationError("bit string length must be >= 0")
         if value < 0 or value >> length:
             raise ValidationError("value does not fit into %d bits" % length)
-        self.length = length
-        self.value = value
+        return int.__new__(cls, (1 << length) | value)
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
@@ -57,57 +57,60 @@ class BitString:
 
     @classmethod
     def _from_checked(cls, text: str) -> "BitString":
-        # text has passed _check_text, so the value fits its length
-        bits = cls.__new__(cls)
-        bits.length, bits.value = len(text), int(text, 2) if text else 0
-        return bits
+        # text has passed _check_text, so "1" + text is the packed string
+        return int.__new__(cls, "1" + text, 2)
+
+    def __getnewargs__(self):  # copy and pickle call __new__(length, value)
+        return self.length, self.value
+
+    def __len__(self) -> int:
+        return self.bit_length() - 1
+
+    length = property(__len__)
+
+    @property
+    def value(self) -> int:
+        return self ^ (1 << self.length)
 
     @property
     def text(self) -> str:
-        return format(self.value, "0%db" % self.length) if self.length else ""
+        return bin(self)[3:]
 
     def bit(self, i: int) -> int:
         """Bit at 0-based position ``i``, counted from the left."""
         if not 0 <= i < self.length:
             raise ValidationError("bit index out of range")
-        return (self.value >> (self.length - 1 - i)) & 1
+        return (self >> (self.length - 1 - i)) & 1
 
     def with_bit(self, i: int, b: int) -> "BitString":
         if not 0 <= i < self.length:
             raise ValidationError("bit index out of range")
         shift = self.length - 1 - i
-        cleared = self.value & ~(1 << shift)
-        return BitString(self.length, cleared | ((b & 1) << shift))
+        return _bits((self & ~(1 << shift)) | ((b & 1) << shift))
 
     def concat(self, other: "BitString") -> "BitString":
-        return BitString(self.length + other.length,
-                         (self.value << other.length) | other.value)
+        t = other.length
+        return _bits((self << t) | (other ^ (1 << t)))
 
     def prefix(self, k: int) -> "BitString":
         """The first ``k`` bits."""
         if not 0 <= k <= self.length:
             raise ValidationError("prefix length out of range")
-        return BitString(k, self.value >> (self.length - k))
+        return _bits(self >> (self.length - k))
 
     def is_prefix_of(self, other: "BitString") -> bool:
         return self.length <= other.length and other.prefix(self.length) == self
 
-    def __len__(self) -> int:
-        return self.length
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BitString)
-                and self.length == other.length and self.value == other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.value))
-
-    def __lt__(self, other: "BitString") -> bool:
-        # Order by (length, value); used only for deterministic iteration.
-        return (self.length, self.value) < (other.length, other.value)
+    def __bool__(self) -> bool:
+        return self != 1  # only the empty string is false, as its len says
 
     def __repr__(self) -> str:
         return "BitString(%r)" % self.text
+
+
+def _bits(packed: int) -> BitString:
+    """The bit string whose packed integer is ``packed`` (at least 1), unchecked."""
+    return int.__new__(BitString, packed)
 
 
 def _check_text(text) -> None:
@@ -233,7 +236,7 @@ def base_length(psi: QubitString) -> int:
     """Length of the longest support string.  The zero vector has none."""
     if not psi.terms:
         raise ValidationError("the zero vector has no base length")
-    return max(s.length for s in psi.terms)
+    return max(psi.terms).length  # integer order is (length, value) order
 
 
 def avg_length(psi: QubitString) -> float:
@@ -247,11 +250,19 @@ def inner(psi: QubitString, phi: QubitString) -> complex:
     """Hermitian inner product <psi|phi>, antilinear in the first slot."""
     if len(psi.terms) > len(phi.terms):
         return inner(phi, psi).conjugate()
+    return _overlap(psi.items_sorted(), phi.terms)
+
+
+def _overlap(items, other: dict) -> complex:
+    """Sum of conj(a) * other[s] over the (s, a) ``items``, in their order.
+
+    The one loop behind every inner product here and in :mod:`qprefix.prefix`.
+    """
     acc = 0j
-    for s in psi.support():
-        b = phi.terms.get(s)
+    for s, a in items:
+        b = other.get(s)
         if b is not None:
-            acc += psi.terms[s].conjugate() * b
+            acc += a.conjugate() * b
     return acc
 
 
@@ -268,7 +279,7 @@ def zero_extended(psi: QubitString, l_max: int) -> QubitString:
         raise ValidationError("l_max %d is below the base length" % l_max)
     acc: dict[BitString, complex] = {}
     for s, a in psi.terms.items():
-        key = BitString(l_max, s.value << (l_max - s.length))
+        key = _bits(s << (l_max - s.length))
         acc[key] = acc.get(key, 0j) + a
     return QubitString(acc)
 

@@ -36,6 +36,26 @@ def test_ensemble_validation():
         Ensemble.from_states((1.0,), [np.array([1.0, 0.0])], dimension=3)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("func, args", [
+    (Ensemble.from_states, ([1.0], [[_NAN, 0.0]])),
+    (Ensemble.from_states, ([1.0], [[_INF, 0.0]])),
+    (Ensemble.from_states, ([0.5, _NAN], np.eye(2))),
+    (Ensemble.from_states, ([0.5, _INF], np.eye(2))),
+    (shannon_entropy, ([0.5, _NAN],)),
+    (shannon_entropy, ([_INF],)),
+    (monotone_entropy, ([_NAN],)),
+    (monotone_entropy, ([0.5, _INF],)),
+], ids=["ensemble-nan-amp", "ensemble-inf-amp", "ensemble-nan-p", "ensemble-inf-p",
+        "shannon-nan", "shannon-inf", "monotone-nan", "monotone-inf"])
+def test_non_finite_inputs_are_rejected(func, args):
+    # NaN passes comparisons such as abs(x - 1) > EPS and x <= 0
+    with pytest.raises(ValidationError):
+        func(*args)
+
+
 def test_length_assignment_validation():
     LengthAssignment((1, 2, 2), 1.0)
     with pytest.raises(ValidationError):

@@ -1,6 +1,9 @@
 """Bit strings, superpositions, lengths, inner products, concatenation."""
 
+import copy
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -65,6 +68,28 @@ def test_bitstring_ordering_and_hashing():
     strings = [BitString.from_text(t) for t in ("1", "0", "10", "", "01")]
     assert [s.text for s in sorted(strings)] == ["", "0", "1", "01", "10"]
     assert len({BitString.from_text("01"), BitString(2, 1)}) == 1
+
+
+def test_bitstring_is_its_packed_integer():
+    rng = random.Random(7)
+    pairs = [(n, rng.getrandbits(n)) for n in (rng.randrange(70) for _ in range(300))]
+    strings = [BitString(n, v) for n, v in pairs]
+    for (n, v), s in zip(pairs, strings):
+        assert s == 1 << n | v and hash(s) == hash(1 << n | v)
+        assert (s.length, s.value, len(s)) == (n, v, n)
+    # a dict keyed by bit strings answers a lookup by the plain int
+    index = {s: k for k, s in enumerate(strings)}
+    assert [index[1 << n | v] for n, v in pairs] == [index[s] for s in strings]
+    assert [(s.length, s.value) for s in sorted(strings)] == sorted(pairs)
+    for s in (BitString(4, 6), BitString(), BitString(70, 2**69 + 3)):
+        copies = [copy.copy(s), copy.deepcopy(s)]
+        copies += [pickle.loads(pickle.dumps(s, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is BitString and c == s and c.text == s.text
+    # only the empty string is false, as when its length decided
+    assert not BitString() and not BitString.from_text("")
+    assert all(BitString.from_text(t) for t in ("0", "1", "00"))
 
 
 def test_qubitstring_accumulates_and_prunes():
